@@ -28,8 +28,8 @@ def apply_targets(proposal: Box, t, width, height) -> Box:
     px, py, pw, ph = proposal.center_size()
     cx = px + t[0] * pw
     cy = py + t[1] * ph
-    w = pw * np.exp(t[2])
-    h = ph * np.exp(t[3])
+    w = max(pw * np.exp(t[2]), 1.0)    # at least one pixel, so never inverted
+    h = max(ph * np.exp(t[3]), 1.0)
     return clip_box(Box(cx - 0.5 * (w - 1.0), cy - 0.5 * (h - 1.0),
                         cx + 0.5 * (w - 1.0), cy + 0.5 * (h - 1.0)),
                     width, height)

@@ -12,10 +12,11 @@ import time
 
 import numpy as np
 
-from .bboxreg import collect_training_pairs, fit_regressor, iterate_boxes
+from .bboxreg import (BoxRegressor, ClassRegressor, collect_training_pairs,
+                      fit_regressor, iterate_boxes)
 from .boxes import Box
 from .config import Config, load_config
-from .dataset import Dataset, read_manifest
+from .dataset import Dataset, finite, read_blocks, read_manifest
 from .errors import InputError, NumericalError, SegDetectError
 from .evaluate import (average_best_overlap, evaluate_detections, write_pr_curves,
                        write_report)
@@ -34,8 +35,6 @@ def _effective_threads(flag):
 
 
 def _load_dataset(manifest_path, cfg: Config) -> Dataset:
-    if not os.path.exists(manifest_path):
-        raise InputError(f"manifest not found: {manifest_path}")
     return Dataset(read_manifest(manifest_path),
                    min_segment_pixels=cfg.min_segment_pixels)
 
@@ -95,10 +94,8 @@ def cmd_train(args):
 
 def cmd_detect(args):
     cfg = _load_config(args.config)
-    if not os.path.exists(args.model):
-        raise InputError(f"model file not found: {args.model}")
-    weights = load_model(args.model)
     dataset = _load_dataset(args.manifest, cfg)
+    weights = _load_model_for(args.model, dataset)
     threads = _effective_threads(args.threads or cfg.threads)
 
     def run(image_id):
@@ -130,12 +127,15 @@ def cmd_regress(args):
         print(f"regressor written to {args.out}")
         return 0
     # iterate: refine boxes and rescore
-    if not os.path.exists(args.model):
-        raise InputError(f"model file not found: {args.model}")
-    weights = load_model(args.model)
+    if args.model is None or args.regressor is None:
+        raise InputError("regress iterate needs --model and --regressor")
+    weights = _load_model_for(args.model, dataset)
     regressor = _load_regressor(args.regressor)
     if dataset.regression is None:
         raise InputError("manifest declares no regression feature file")
+    if regressor.d_reg != dataset.regression.shape[1]:
+        raise InputError(f"{args.regressor}: d_reg {regressor.d_reg} does not match "
+                         f"the dataset's {dataset.regression.shape[1]}")
     lookup = _nearest_box_provider(dataset)
     detections = []
     for image_id in dataset.image_order:
@@ -150,6 +150,15 @@ def cmd_regress(args):
     write_detections(args.out, detections)
     print(f"{len(detections)} refined detections written to {args.out}")
     return 0
+
+
+def _load_model_for(path, dataset):
+    """Load a model and check it fits the dataset's classes and feature sizes."""
+    weights = load_model(path)
+    if ((weights.n_classes, weights.d_app, weights.d_ctx)
+            != (dataset.n_classes, dataset.d_app, dataset.d_ctx)):
+        raise InputError(f"{path}: model classes or feature sizes differ from the dataset's")
+    return weights
 
 
 def _nearest_box_provider(dataset):
@@ -184,35 +193,23 @@ def _save_regressor(path, regressor):
 
 
 def _load_regressor(path):
-    from .bboxreg import BoxRegressor, ClassRegressor
-    if not os.path.exists(path):
-        raise InputError(f"regressor file not found: {path}")
-    with open(path) as f:
-        lines = [ln.rstrip("\n") for ln in f]
-    if not lines or lines[0] != "segdetect-regressor 1":
-        raise InputError(f"{path}:1: not a regressor file")
+    header, blocks = read_blocks(path, "segdetect-regressor 1", "class",
+                                 ("intercepts", "w", "w", "w", "w"))
     try:
-        d_reg = int(lines[1].split()[1])
-        ridge = float(lines[2].split()[1])
-        regressor = BoxRegressor(d_reg=d_reg, ridge=ridge)
-        i = 3
-        while i < len(lines):
-            class_id = int(lines[i].split()[1])
-            intercepts = np.array([float(v) for v in lines[i + 1].split()[1:]])
-            weights = np.array([[float(v) for v in lines[i + 2 + r].split()[1:]]
-                                for r in range(4)])
-            regressor.per_class[class_id] = ClassRegressor(weights, intercepts)
-            i += 6
-    except (IndexError, ValueError) as e:
-        raise InputError(f"{path}: malformed regressor file: {e}") from e
+        regressor = BoxRegressor(d_reg=int(header["d_reg"]), ridge=finite(header["ridge"]))
+        for class_id, (intercepts, *weights) in blocks.items():
+            if intercepts.size != 4 or any(w.size != regressor.d_reg for w in weights):
+                raise ValueError(f"class {class_id} needs 4 intercepts and 4 rows "
+                                 f"of d_reg {regressor.d_reg} weights")
+            regressor.per_class[class_id] = ClassRegressor(np.array(weights), intercepts)
+    except (KeyError, ValueError) as e:
+        raise InputError(f"{path}: bad regressor: {e}") from e
     return regressor
 
 
 def cmd_eval(args):
     cfg = _load_config(args.config)
     dataset = _load_dataset(args.manifest, cfg)
-    if not os.path.exists(args.detections):
-        raise InputError(f"detections file not found: {args.detections}")
     detections = read_detections(args.detections)
     gts = _gts_by_image(dataset)
     report = evaluate_detections(detections, gts, dataset.n_classes,

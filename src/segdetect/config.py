@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-import os
+import math
 from dataclasses import dataclass, fields
 
+from .dataset import finite, read_records
 from .errors import InputError
 
 
@@ -40,45 +41,59 @@ class Config:
     threads: int = 0   # 0 = machine parallelism
 
     def __post_init__(self):
-        if self.grid_k < 1:
-            raise InputError("grid_k must be >= 1")
-        if self.c_reg <= 0:
-            raise InputError("c_reg must be positive")
-        if not (0 < self.neg_iou <= self.pos_iou <= 1):
-            raise InputError("need 0 < neg_iou <= pos_iou <= 1")
-        if self.min_segment_pixels < 0 or self.neg_cache_cap < 1:
-            raise InputError("invalid cache/filter sizes")
+        for name, value in vars(self).items():
+            check_range(name, value)
+        if self.neg_iou > self.pos_iou:
+            raise InputError("need neg_iou <= pos_iou")
+
+
+# (low, high, low end open) -> the fields it bounds; floats must also be
+# finite, and lambda_bias and eleven_point have no other bound
+_RANGES = {
+    (1, math.inf, False): ("grid_k", "top_k", "epochs", "batch_size",
+                           "neg_cache_cap", "outer_iters"),
+    (0, math.inf, False): ("min_segment_pixels", "decay", "seed", "ridge",
+                           "bbox_max_iters", "threads"),
+    (0, math.inf, True): ("c_reg", "eta0"),
+    (0, 1, False): ("nms_iou", "change_thresh"),
+    (0, 1, True): ("pos_iou", "neg_iou", "reg_pair_iou", "eval_iou"),
+}
+_RANGE_OF = {name: bounds for bounds, names in _RANGES.items() for name in names}
+
+
+def check_range(name, value):
+    """Raise InputError unless value lies in the range of Config field name."""
+    low, high, low_open = _RANGE_OF.get(name, (-math.inf, math.inf, False))
+    if (isinstance(value, float) and not math.isfinite(value)
+            or not (low < value if low_open else low <= value) or value > high):
+        raise InputError(f"{name} must be in {'(' if low_open else '['}{low}, "
+                         f"{high}], got {value}")
 
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False}
+_PARSERS = {int: int, float: finite, bool: lambda tok: _BOOL[tok.lower()]}
 
 
 def load_config(path) -> Config:
-    if not os.path.exists(path):
-        raise InputError(f"config file not found: {path}")
+    parsers = {f.name: _PARSERS[type(getattr(Config, f.name))] for f in fields(Config)}
     overrides = {}
-    types = {f.name: f.type for f in fields(Config)}
-    defaults = Config()
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(None, 1)
-            if len(parts) != 2:
-                raise InputError(f"{path}:{lineno}: expected 'key value'")
-            key, value = parts
-            if key not in types:
-                raise InputError(f"{path}:{lineno}: unknown config key {key!r}")
-            kind = type(getattr(defaults, key))
-            try:
-                if kind is bool:
-                    overrides[key] = _BOOL[value.lower()]
-                else:
-                    overrides[key] = kind(value)
-            except (ValueError, KeyError) as e:
-                raise InputError(f"{path}:{lineno}: bad value for {key}: {value}") from e
-    return Config(**overrides)
+
+    def setting(key, *value):
+        if key.startswith("#"):
+            return
+        if key not in parsers:
+            raise ValueError(f"unknown config key {key!r}")
+        try:
+            (overrides[key],) = map(parsers[key], value)
+        except (ValueError, KeyError):
+            raise ValueError(f"bad value for {key}: {' '.join(value)!r}") from None
+        check_range(key, overrides[key])
+
+    read_records(path, None, setting, sep=None)
+    try:
+        return Config(**overrides)
+    except InputError as e:
+        raise InputError(f"{path}: {e}") from e
 
 
 def save_config(path, cfg: Config):

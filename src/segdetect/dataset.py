@@ -6,6 +6,8 @@ All readers raise InputError with the offending file and line.
 
 from __future__ import annotations
 
+import itertools
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -13,15 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boxes import Box
-from .errors import BadRle, InputError
+from .errors import InputError
 from .masks import SegmentMask
 
 FEATURE_MAGIC = b"SDMF"
 FEATURE_VERSION = 1
-
-
-def _fail(path, lineno, msg):
-    raise InputError(f"{path}:{lineno}: {msg}")
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +61,100 @@ def read_feature_matrix(path):
 # ---------------------------------------------------------------------------
 # line-oriented text files
 
+def read_records(path, types, build, sep=","):
+    """[build(*fields)] for each non-blank line of a text file.
+
+    types holds one converter per field and fixes the field count; with None
+    the raw fields go to build unchecked.  A ValueError or InputError from a
+    converter or build is reported as path:lineno.
+    """
+    try:
+        with open(path) as f:
+            lines = [line.strip() for line in f]
+    except (OSError, UnicodeDecodeError) as e:
+        raise InputError(f"cannot read {path}: {getattr(e, 'strerror', None) or e}") from e
+    if types is not None:
+        # fast path: no Python frame and no surviving list per line
+        rows = [line for line in lines if line]
+        n = len(types)
+        if set(map(len, map(str.split, rows, itertools.repeat(sep)))) == {n}:
+            tokens = (sep or " ").join(rows).split(sep)
+            try:
+                return list(map(build, *(map(convert, tokens[k::n])
+                                         for k, convert in enumerate(types))))
+            except (ValueError, InputError):
+                pass    # the loop below finds and reports the failing line
+    records = []
+    for lineno, line in enumerate(lines, 1):
+        if not line:
+            continue
+        fields = line.split(sep)
+        try:
+            if types is not None:
+                if len(fields) != len(types):
+                    raise ValueError(f"expected {len(types)} fields, got {len(fields)}")
+                fields = [convert(tok) for convert, tok in zip(types, fields)]
+            records.append(build(*fields))
+        except (ValueError, InputError) as e:
+            raise InputError(f"{path}:{lineno}: {e}") from e
+    return records
+
+
+def finite(tok):
+    """float() that rejects NaN and infinities."""
+    value = float(tok)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {tok}")
+    return value
+
+
+def read_blocks(path, magic, block_key, row_keys):
+    """Read a magic line, `key value` header lines, then numbered blocks.
+
+    Each block opens with `block_key <id>`, an id >= 1 used once, and holds
+    one `key v1 v2 ...` row of finite numbers per row_keys entry, in order.
+    Returns (header, blocks): key -> value string, id -> list of float rows.
+    """
+    magic = tuple(magic.split())    # kept as the first header entry
+    header, blocks = {}, {}
+    rows = None         # rows of the open block; None while in the header
+
+    def parse(key, *values):
+        nonlocal rows
+        if not header and (key, *values) != magic:
+            raise ValueError(f"not a {magic[0]} file")
+        if rows is not None and len(rows) < len(row_keys):
+            if key != row_keys[len(rows)]:
+                raise ValueError(f"expected {row_keys[len(rows)]} row, got {key!r}")
+            rows.append(np.array([finite(v) for v in values]))
+        elif key == block_key:
+            block_id = int(values[0]) if len(values) == 1 else 0
+            if block_id < 1 or block_id in blocks:
+                raise ValueError(f"{block_key} line needs one new id >= 1, "
+                                 f"got {' '.join(values)!r}")
+            rows = blocks[block_id] = []
+        elif rows is None:
+            if len(values) != 1:
+                raise ValueError(f"header line {key!r} needs one value")
+            header[key] = values[0]
+        else:
+            raise ValueError(f"expected {block_key} line, got {key!r}")
+
+    read_records(path, None, parse, sep=None)
+    if not header or rows is not None and len(rows) < len(row_keys):
+        raise InputError(f"{path}: empty, or its last {block_key} block is cut short")
+    return header, blocks
+
+
+def _inside(sizes, image_id, box):
+    """Reject a box that leaves its image; sizes maps image_id -> (w, h)."""
+    size = sizes.get(image_id) if sizes else None
+    if size and not (0 <= box.x1 and 0 <= box.y1
+                     and box.x2 <= size[0] - 1 and box.y2 <= size[1] - 1):
+        raise ValueError(f"{box} lies outside the {size[0]}x{size[1]} image {image_id}")
+    return box
+
+
 def write_boxes_file(path, rows):
     """rows: iterable of (image_id, box_id, Box)."""
     with open(path, "w") as f:
@@ -71,23 +163,12 @@ def write_boxes_file(path, rows):
                     f"{float(b.x2)!r},{float(b.y2)!r}\n")
 
 
-def read_boxes_file(path):
-    rows = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 6:
-                _fail(path, lineno, f"expected 6 fields, got {len(parts)}")
-            try:
-                box = Box(float(parts[2]), float(parts[3]),
-                          float(parts[4]), float(parts[5]))
-                rows.append((parts[0], int(parts[1]), box))
-            except ValueError as e:
-                _fail(path, lineno, str(e))
-    return rows
+def read_boxes_file(path, sizes=None):
+    """[(image_id, box_id, Box)]; boxes of images in sizes must lie inside them."""
+    return read_records(
+        path, (str, int, finite, finite, finite, finite),
+        lambda image_id, box_id, *xy: (image_id, box_id,
+                                       _inside(sizes, image_id, Box(*xy))))
 
 
 def write_masks_file(path, masks):
@@ -97,27 +178,19 @@ def write_masks_file(path, masks):
             f.write(f"{m.image_id} {m.segment_id} {m.height} {m.width} {runs}\n")
 
 
-def read_masks_file(path):
-    masks = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 5:
-                _fail(path, lineno, f"expected 5 fields, got {len(parts)}")
-            image_id, seg_id, h, w, runs_txt = parts
-            try:
-                runs = []
-                if runs_txt != "-":
-                    for tok in runs_txt.split(","):
-                        start, length = tok.split(":")
-                        runs.append((int(start), int(length)))
-                masks.append(SegmentMask(image_id, int(seg_id), int(h), int(w), runs))
-            except (ValueError, BadRle) as e:
-                _fail(path, lineno, str(e))
-    return masks
+def _runs(text):
+    pairs = [tok.split(":") for tok in text.split(",")] if text != "-" else []
+    return [(int(start), int(length)) for start, length in pairs]
+
+
+def read_masks_file(path, sizes=None):
+    """[SegmentMask]; masks of images in sizes must have their dims."""
+    def mask(image_id, segment_id, height, width, runs):
+        if sizes and sizes.get(image_id, (width, height)) != (width, height):
+            raise ValueError(f"mask dims {height}x{width} differ from image "
+                             f"{image_id} dims {sizes[image_id][1]}x{sizes[image_id][0]}")
+        return SegmentMask(image_id, segment_id, height, width, runs)
+    return read_records(path, (str, int, int, int, _runs), mask, sep=None)
 
 
 def write_gt_file(path, gts):
@@ -128,26 +201,19 @@ def write_gt_file(path, gts):
                     f"{float(b.x2)!r},{float(b.y2)!r},{1 if difficult else 0}\n")
 
 
-def read_gt_file(path):
-    gts = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 7:
-                _fail(path, lineno, f"expected 7 fields, got {len(parts)}")
-            try:
-                box = Box(float(parts[2]), float(parts[3]),
-                          float(parts[4]), float(parts[5]))
-                difficult = int(parts[6])
-                if difficult not in (0, 1):
-                    raise ValueError(f"difficult flag must be 0 or 1, got {parts[6]}")
-                gts.append((parts[0], int(parts[1]), box, bool(difficult)))
-            except ValueError as e:
-                _fail(path, lineno, str(e))
-    return gts
+def _difficult(tok):
+    if tok not in ("0", "1"):
+        raise ValueError(f"difficult flag must be 0 or 1, got {tok}")
+    return tok == "1"
+
+
+def read_gt_file(path, sizes=None):
+    """[(image_id, class_id, Box, difficult)]; as read_boxes_file for sizes."""
+    return read_records(
+        path, (str, int, finite, finite, finite, finite, _difficult),
+        lambda image_id, class_id, x1, y1, x2, y2, difficult: (
+            image_id, class_id, _inside(sizes, image_id, Box(x1, y1, x2, y2)),
+            difficult))
 
 
 def write_seg_scores_file(path, rows):
@@ -158,27 +224,15 @@ def write_seg_scores_file(path, rows):
 
 
 def read_seg_scores_file(path):
-    rows = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                _fail(path, lineno, f"expected 4 fields, got {len(parts)}")
-            try:
-                score = float(parts[3])
-                if not np.isfinite(score):
-                    raise ValueError(f"non-finite score {parts[3]}")
-                rows.append((parts[0], int(parts[1]), int(parts[2]), score))
-            except ValueError as e:
-                _fail(path, lineno, str(e))
-    return rows
+    return read_records(path, (str, int, int, finite), lambda *row: row)
 
 
 # ---------------------------------------------------------------------------
 # manifest
+
+_MANIFEST_FILES = ("boxes", "masks", "seg_scores", "ground_truth", "appearance",
+                   "context", "regression")
+
 
 @dataclass
 class Manifest:
@@ -215,51 +269,36 @@ def write_manifest(path, manifest: Manifest):
 
 
 def read_manifest(path):
-    classes = []
-    images = []
-    files = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            key = parts[0]
-            if key == "version":
-                if parts[1:] != ["1"]:
-                    _fail(path, lineno, f"unsupported manifest version {parts[1:]}")
-            elif key == "class":
-                if len(parts) != 2:
-                    _fail(path, lineno, "class line needs one name")
-                classes.append(parts[1])
-            elif key == "image":
-                if len(parts) != 4:
-                    _fail(path, lineno, "image line needs id, width, height")
-                try:
-                    images.append((parts[1], int(parts[2]), int(parts[3])))
-                except ValueError as e:
-                    _fail(path, lineno, str(e))
-            elif key in ("boxes", "masks", "seg_scores", "ground_truth",
-                         "appearance", "context", "regression"):
-                if len(parts) != 2:
-                    _fail(path, lineno, f"{key} line needs one path")
-                files[key] = parts[1]
-            else:
-                _fail(path, lineno, f"unknown manifest key {key!r}")
-    for key in ("boxes", "masks", "seg_scores", "ground_truth", "appearance", "context"):
-        if key not in files:
+    classes, images, files = [], [], {}
+
+    def entry(key, *values):
+        if key not in ("version", "class", "image", *_MANIFEST_FILES):
+            raise ValueError(f"unknown manifest key {key!r}")
+        if len(values) != (3 if key == "image" else 1):
+            raise ValueError(f"{key} line needs "
+                             f"{'id, width, height' if key == 'image' else 'one value'}")
+        if key == "version":
+            if values[0] != "1":
+                raise ValueError(f"unsupported manifest version {values[0]}")
+        elif key == "class":
+            classes.append(values[0])
+        elif key == "image":
+            width, height = int(values[1]), int(values[2])
+            if width < 1 or height < 1:
+                raise ValueError(f"image {values[0]} needs width and height >= 1")
+            images.append((values[0], width, height))
+        else:
+            files[f"{key}_file"] = values[0]
+
+    read_records(path, None, entry, sep=None)
+    for key in _MANIFEST_FILES[:-1]:    # all but regression are required
+        if f"{key}_file" not in files:
             raise InputError(f"{path}: missing {key} entry")
     if not classes:
         raise InputError(f"{path}: no classes declared")
     if not images:
         raise InputError(f"{path}: no images declared")
-    return Manifest(class_names=classes, images=images,
-                    boxes_file=files["boxes"], masks_file=files["masks"],
-                    seg_scores_file=files["seg_scores"],
-                    ground_truth_file=files["ground_truth"],
-                    appearance_file=files["appearance"],
-                    context_file=files["context"],
-                    regression_file=files.get("regression", ""),
+    return Manifest(class_names=classes, images=images, **files,
                     base_dir=os.path.dirname(os.path.abspath(path)))
 
 
@@ -289,16 +328,13 @@ class Dataset:
         self.manifest = manifest
         self.class_names = list(manifest.class_names)
         self.n_classes = len(self.class_names)
-        self.images = {}
-        order = []
-        for image_id, w, h in manifest.images:
-            if image_id in self.images:
-                raise InputError(f"duplicate image id {image_id}")
-            self.images[image_id] = ImageRecord(image_id, w, h)
-            order.append(image_id)
-        self.image_order = order
-
-        box_rows = read_boxes_file(manifest.resolve(manifest.boxes_file))
+        self.image_order = [image_id for image_id, _, _ in manifest.images]
+        self.images = {image_id: ImageRecord(image_id, w, h)
+                       for image_id, w, h in manifest.images}
+        if len(self.images) != len(self.image_order):
+            raise InputError("duplicate image id in manifest")
+        sizes = {image_id: (w, h) for image_id, w, h in manifest.images}
+        box_rows = read_boxes_file(manifest.resolve(manifest.boxes_file), sizes)
         for row_idx, (image_id, box_id, box) in enumerate(box_rows):
             rec = self.images.get(image_id)
             if rec is None:
@@ -310,17 +346,10 @@ class Dataset:
             rec.rows.append(row_idx)
         self._n_feature_rows = len(box_rows)
 
-        for mask in read_masks_file(manifest.resolve(manifest.masks_file)):
+        for mask in read_masks_file(manifest.resolve(manifest.masks_file), sizes):
             rec = self.images.get(mask.image_id)
-            if rec is None:
-                continue
-            if (mask.height, mask.width) != (rec.height, rec.width):
-                raise InputError(
-                    f"segment {mask.segment_id}: mask dims {mask.height}x{mask.width} "
-                    f"differ from image {mask.image_id} dims {rec.height}x{rec.width}")
-            if mask.pixel_count < min_segment_pixels:
-                continue
-            rec.masks.append(mask)
+            if rec is not None and mask.pixel_count >= min_segment_pixels:
+                rec.masks.append(mask)
         for rec in self.images.values():
             rec.masks.sort(key=lambda m: m.segment_id)
 
@@ -332,13 +361,11 @@ class Dataset:
             self.seg_scores[(image_id, seg_id, class_id)] = score
 
         for image_id, class_id, box, difficult in read_gt_file(
-                manifest.resolve(manifest.ground_truth_file)):
-            rec = self.images.get(image_id)
-            if rec is None:
-                continue
+                manifest.resolve(manifest.ground_truth_file), sizes):
             if class_id < 1 or class_id > self.n_classes:
                 raise InputError(f"ground truth with invalid class id {class_id}")
-            rec.gts.append((class_id, box, difficult))
+            if image_id in self.images:
+                self.images[image_id].gts.append((class_id, box, difficult))
 
         self.appearance = read_feature_matrix(manifest.resolve(manifest.appearance_file))
         self.context = read_feature_matrix(manifest.resolve(manifest.context_file))

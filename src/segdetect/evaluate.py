@@ -130,34 +130,21 @@ def evaluate_detections(detections, gts_by_image, n_classes, iou_thresh=0.5,
 
 
 def _match_across_images(class_dets, gts_by_image, class_id, iou_thresh):
-    """Greedy matching per image, flags aligned with the global score order."""
-    taken = {}
-    flags = []
-    for det in class_dets:
-        gts = [(g, difficult) for cid, g, difficult
-               in gts_by_image.get(det.image_id, [])
+    """Greedy matching per image, flags aligned with the global score order.
+
+    A detection only claims ground truth of its own image, so matching each
+    image's detections apart, in score order, gives the same flags.
+    """
+    by_image = {}
+    for i, det in enumerate(class_dets):
+        by_image.setdefault(det.image_id, []).append(i)
+    flags = {}
+    for image_id, indices in by_image.items():
+        gts = [(g, difficult) for cid, g, difficult in gts_by_image.get(image_id, [])
                if cid == class_id]
-        state = taken.setdefault(det.image_id, [False] * len(gts))
-        best = -1
-        best_iou = 0.0
-        difficult_hit = False
-        for g, (gt_box, difficult) in enumerate(gts):
-            ov = iou(det.box, gt_box)
-            if ov < iou_thresh:
-                continue
-            if difficult:
-                difficult_hit = True
-            elif not state[g] and ov > best_iou:
-                best_iou = ov
-                best = g
-        if best >= 0:
-            state[best] = True
-            flags.append(TP)
-        elif difficult_hit:
-            flags.append(IGNORED)
-        else:
-            flags.append(FP)
-    return flags
+        flags.update(zip(indices, match_detections(
+            [class_dets[i] for i in indices], gts, iou_thresh)))
+    return [flags[i] for i in range(len(class_dets))]
 
 
 def average_best_overlap(candidates_by_image, gts_by_image, n_classes):

@@ -7,11 +7,13 @@ independent across classes, so maximizing each class on its own is exact.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .boxes import Box, iou
+from .dataset import finite, read_blocks, read_records
 from .errors import InputError, MissingFeatures
 from .segfeat import GridSpec, assemble_block, block_length, segclass_feat
 from .masks import largest_segment_area
@@ -78,41 +80,20 @@ def save_model(path, m: ModelWeights):
 
 
 def load_model(path) -> ModelWeights:
+    header, blocks = read_blocks(path, "segdetect-model 1", "detector",
+                                 ("bias", "w_app", "w_ctx", "w_seg"))
     try:
-        with open(path) as f:
-            lines = [ln.rstrip("\n") for ln in f]
-    except OSError as e:
-        raise InputError(f"cannot read model file {path}: {e}") from e
-    if not lines or lines[0] != "segdetect-model 1":
-        raise InputError(f"{path}:1: not a model file")
-    header = {}
-    i = 1
-    while i < len(lines) and not lines[i].startswith("detector "):
-        key, value = lines[i].split(None, 1)
-        header[key] = value
-        i += 1
-    try:
-        m = ModelWeights.zeros(int(header["n_classes"]), int(header["grid_k"]),
-                               float(header["lambda"]), int(header["d_app"]),
-                               int(header["d_ctx"]))
-    except (KeyError, ValueError) as e:
-        raise InputError(f"{path}: bad model header: {e}") from e
-    while i < len(lines):
-        if not lines[i].startswith("detector "):
-            raise InputError(f"{path}:{i + 1}: expected detector block")
-        c = int(lines[i].split()[1]) - 1
-        try:
-            m.bias[c] = float(lines[i + 1].split(None, 1)[1])
-            for off, (name, dest) in enumerate(
-                    (("w_app", m.w_app), ("w_ctx", m.w_ctx), ("w_seg", m.w_seg))):
-                key, rest = lines[i + 2 + off].split(None, 1)
-                if key != name:
-                    raise ValueError(f"expected {name} row, got {key}")
-                dest[c] = np.array([float(v) for v in rest.split()])
-        except (IndexError, ValueError) as e:
-            raise InputError(f"{path}: bad detector block {c + 1}: {e}") from e
-        i += 5
-    m.validate()
+        n, grid_k = int(header["n_classes"]), int(header["grid_k"])
+        if n < 1 or grid_k < 1 or sorted(blocks) != list(range(1, n + 1)):
+            raise ValueError(f"need n_classes and grid_k >= 1 and detector blocks "
+                             f"1..n_classes, got {n}, {grid_k} and {sorted(blocks)}")
+        bias, w_app, w_ctx, w_seg = (np.array([blocks[c][r] for c in range(1, n + 1)])
+                                     for r in range(4))
+        m = ModelWeights(n, grid_k, finite(header["lambda"]), int(header["d_app"]),
+                         int(header["d_ctx"]), w_app, w_ctx, w_seg, bias.reshape(n))
+        m.validate()
+    except (KeyError, ValueError, InputError) as e:
+        raise InputError(f"{path}: bad model: {e}") from e
     return m
 
 
@@ -279,22 +260,14 @@ def write_detections(path, detections):
 
 
 def read_detections(path):
-    detections = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 8:
-                raise InputError(f"{path}:{lineno}: expected 8 fields, got {len(parts)}")
-            try:
-                box = Box(float(parts[3]), float(parts[4]),
-                          float(parts[5]), float(parts[6]))
-                segs = [None if tok == "NONE" else int(tok)
-                        for tok in parts[7].split(";")] if parts[7] else []
-                detections.append(Detection(parts[0], int(parts[1]), lineno, box,
-                                            float(parts[2]), segs))
-            except ValueError as e:
-                raise InputError(f"{path}:{lineno}: {e}") from e
-    return detections
+    """Detections in file order; box_id is the record number, from 1."""
+    box_ids = itertools.count(1)
+    return read_records(
+        path, (str, int, finite, finite, finite, finite, finite, _segments),
+        lambda image_id, class_id, score, x1, y1, x2, y2, segs: Detection(
+            image_id, class_id, next(box_ids), Box(x1, y1, x2, y2), score, segs))
+
+
+def _segments(text):
+    return [None if tok == "NONE" else int(tok)
+            for tok in text.split(";")] if text else []
