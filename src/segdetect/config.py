@@ -81,8 +81,8 @@ def load_config(path) -> Config:
     def setting(key, *value):
         if key.startswith("#"):
             return
-        if key not in parsers:
-            raise ValueError(f"unknown config key {key!r}")
+        if key not in parsers or key in overrides:
+            raise ValueError(f"unknown or repeated config key {key!r}")
         try:
             (overrides[key],) = map(parsers[key], value)
         except (ValueError, KeyError):

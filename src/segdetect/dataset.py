@@ -6,7 +6,6 @@ All readers raise InputError with the offending file and line.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import struct
@@ -68,35 +67,23 @@ def read_records(path, types, build, sep=","):
     the raw fields go to build unchecked.  A ValueError or InputError from a
     converter or build is reported as path:lineno.
     """
+    records, lineno = [], 0
     try:
         with open(path) as f:
-            lines = [line.strip() for line in f]
+            for lineno, line in enumerate(f, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                fields = line.split(sep)
+                if types is not None:
+                    if len(fields) != len(types):
+                        raise ValueError(f"expected {len(types)} fields, got {len(fields)}")
+                    fields = [convert(tok) for convert, tok in zip(types, fields)]
+                records.append(build(*fields))
     except (OSError, UnicodeDecodeError) as e:
         raise InputError(f"cannot read {path}: {getattr(e, 'strerror', None) or e}") from e
-    if types is not None:
-        # fast path: no Python frame and no surviving list per line
-        rows = [line for line in lines if line]
-        n = len(types)
-        if set(map(len, map(str.split, rows, itertools.repeat(sep)))) == {n}:
-            tokens = (sep or " ").join(rows).split(sep)
-            try:
-                return list(map(build, *(map(convert, tokens[k::n])
-                                         for k, convert in enumerate(types))))
-            except (ValueError, InputError):
-                pass    # the loop below finds and reports the failing line
-    records = []
-    for lineno, line in enumerate(lines, 1):
-        if not line:
-            continue
-        fields = line.split(sep)
-        try:
-            if types is not None:
-                if len(fields) != len(types):
-                    raise ValueError(f"expected {len(types)} fields, got {len(fields)}")
-                fields = [convert(tok) for convert, tok in zip(types, fields)]
-            records.append(build(*fields))
-        except (ValueError, InputError) as e:
-            raise InputError(f"{path}:{lineno}: {e}") from e
+    except (ValueError, InputError) as e:
+        raise InputError(f"{path}:{lineno}: {e}") from e
     return records
 
 
@@ -111,8 +98,9 @@ def finite(tok):
 def read_blocks(path, magic, block_key, row_keys):
     """Read a magic line, `key value` header lines, then numbered blocks.
 
-    Each block opens with `block_key <id>`, an id >= 1 used once, and holds
-    one `key v1 v2 ...` row of finite numbers per row_keys entry, in order.
+    Each header key appears once.  Each block opens with `block_key <id>`,
+    an id >= 1 used once, and holds one `key v1 v2 ...` row of finite
+    numbers per row_keys entry, in order.
     Returns (header, blocks): key -> value string, id -> list of float rows.
     """
     magic = tuple(magic.split())    # kept as the first header entry
@@ -134,8 +122,8 @@ def read_blocks(path, magic, block_key, row_keys):
                                  f"got {' '.join(values)!r}")
             rows = blocks[block_id] = []
         elif rows is None:
-            if len(values) != 1:
-                raise ValueError(f"header line {key!r} needs one value")
+            if len(values) != 1 or key in header:
+                raise ValueError(f"header line {key!r} needs one value, once")
             header[key] = values[0]
         else:
             raise ValueError(f"expected {block_key} line, got {key!r}")
@@ -287,6 +275,8 @@ def read_manifest(path):
             if width < 1 or height < 1:
                 raise ValueError(f"image {values[0]} needs width and height >= 1")
             images.append((values[0], width, height))
+        elif f"{key}_file" in files:
+            raise ValueError(f"repeated {key} line")
         else:
             files[f"{key}_file"] = values[0]
 

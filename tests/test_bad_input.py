@@ -78,6 +78,9 @@ CASES = [
      r"gt\.csv:2: .*outside"),
     ("image-zero-width", "manifest.txt", _replace("img0000 64 64", "img0000 0 64"),
      "iterate", r"manifest\.txt:\d+: .*width"),
+    ("manifest-repeated-boxes", "manifest.txt",
+     _replace("boxes boxes.csv\n", "boxes boxes.csv\nboxes gt.csv\n"),
+     "iterate", r"manifest\.txt:\d+: .*boxes"),
     ("missing-gt-file", "manifest.txt", _replace("ground_truth gt.csv",
                                                  "ground_truth no_such_gt.csv"),
      "iterate", r"no_such_gt\.csv"),
@@ -89,6 +92,9 @@ CASES = [
      "iterate", r"model\.txt:7: "),
     ("model-header-no-value", "model.txt", _replace("d_app 16\n", "d_app\n"),
      "iterate", r"model\.txt:5: .*d_app"),
+    ("model-repeated-header-key", "model.txt",
+     _replace("n_classes 3\n", "n_classes 3\nn_classes 2\n"),
+     "iterate", r"model\.txt:3: .*n_classes"),
     ("regressor-nan-weight", "reg.txt", _replace("\nw ", "\nw nan "), "iterate",
      r"reg\.txt:6: .*non-finite"),
     ("regressor-d_reg-mismatch", "reg.txt", _replace("d_reg 5\n", "d_reg 99\n"),
@@ -96,6 +102,8 @@ CASES = [
     ("detections-nan-score", "dets.csv", _set_field(1, 2, "nan"), "eval",
      r"dets\.csv:1: .*non-finite"),
     ("iterate-without-regressor", None, None, "iterate-no-regressor", r"--regressor"),
+    ("config-repeated-key", "config.txt", lambda text: text + "epochs 2\n", "iterate",
+     r"config\.txt:\d+: .*epochs"),
     *[(f"config-{key}-{value}", *_config(key, value), "iterate",
        rf"config\.txt:\d+: .*{key}")
       for key, value in [("batch_size", 0), ("nms_iou", -5), ("top_k", -3),
