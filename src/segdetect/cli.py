@@ -8,22 +8,18 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 
 import numpy as np
 
 from .bboxreg import (BoxRegressor, ClassRegressor, collect_training_pairs,
                       fit_regressor, iterate_boxes)
-from .boxes import Box
 from .config import Config, load_config
 from .dataset import Dataset, finite, read_blocks, read_manifest
 from .errors import InputError, NumericalError, SegDetectError
 from .evaluate import (average_best_overlap, evaluate_detections, write_pr_curves,
                        write_report)
-from .masks import SegmentMask, rect_count
 from .model import (build_bundle, detect_image, load_model, read_detections,
                     save_model, write_detections)
-from .segfeat import GridSpec, grid_cells, seggrid_in
 from .synth import SynthConfig, generate
 from .training import train, write_training_log
 
@@ -225,56 +221,6 @@ def cmd_eval(args):
     return 0
 
 
-def cmd_bench(args):
-    """Micro-benchmark: naive per-pixel grid feature vs integral-image kernel."""
-    rng = np.random.default_rng(0)
-    grid = GridSpec(args.grid)
-    sizes = [int(s) for s in args.sizes.split(",")]
-    lines = ["size,naive_s,integral_s"]
-    for size in sizes:
-        arr = rng.random((size, size)) < 0.4
-        mask = SegmentMask.from_array(arr, "bench", 0)
-        box = Box(size * 0.1, size * 0.1, size * 0.8, size * 0.8)
-        reps = max(1, 2048 // size)
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            _naive_grid(box, arr, grid)
-        naive = (time.perf_counter() - t0) / reps
-        mask.integral()   # build once, as production code does
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            seggrid_in(box, mask, grid)
-        fast = (time.perf_counter() - t0) / reps
-        lines.append(f"{size},{naive!r},{fast!r}")
-    out = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(out)
-    else:
-        sys.stdout.write(out)
-    return 0
-
-
-def _naive_grid(box, arr, grid):
-    total = arr.sum()
-    vals = []
-    for x1, y1, x2, y2 in grid_cells(box, grid):
-        x1 = max(x1, 0)
-        y1 = max(y1, 0)
-        x2 = min(x2, arr.shape[1] - 1)
-        y2 = min(y2, arr.shape[0] - 1)
-        if x1 > x2 or y1 > y2:
-            vals.append(0.0)
-            continue
-        count = 0
-        for yy in range(y1, y2 + 1):
-            for xx in range(x1, x2 + 1):
-                if arr[yy, xx]:
-                    count += 1
-        vals.append(count / total if total else 0.0)
-    return vals
-
-
 def build_parser():
     parser = argparse.ArgumentParser(prog="segdetect")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -336,12 +282,6 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--curves", help="directory for per-class PR curve CSVs")
     p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("bench", help="naive vs integral-image feature timings")
-    p.add_argument("--grid", type=int, default=3)
-    p.add_argument("--sizes", default="32,64,128,256")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_bench)
     return parser
 
 

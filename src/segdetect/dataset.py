@@ -143,6 +143,20 @@ def _inside(sizes, image_id, box):
     return box
 
 
+def _once(seen, key, what):
+    """Reject a key already in seen; what names the record in the error."""
+    if key in seen:
+        raise ValueError(f"duplicate {what}")
+    seen.add(key)
+
+
+def _class_id(n_classes, class_id, what):
+    """Reject a class id outside 1..n_classes when n_classes is known."""
+    if n_classes and not 1 <= class_id <= n_classes:
+        raise ValueError(f"{what} with invalid class id {class_id}")
+    return class_id
+
+
 def write_boxes_file(path, rows):
     """rows: iterable of (image_id, box_id, Box)."""
     with open(path, "w") as f:
@@ -152,11 +166,16 @@ def write_boxes_file(path, rows):
 
 
 def read_boxes_file(path, sizes=None):
-    """[(image_id, box_id, Box)]; boxes of images in sizes must lie inside them."""
-    return read_records(
-        path, (str, int, finite, finite, finite, finite),
-        lambda image_id, box_id, *xy: (image_id, box_id,
-                                       _inside(sizes, image_id, Box(*xy))))
+    """[(image_id, box_id, Box)]; boxes of images in sizes must lie inside them.
+
+    Box ids are unique within an image.
+    """
+    seen = set()
+
+    def row(image_id, box_id, *xy):
+        _once(seen, (image_id, box_id), f"box id {box_id} in image {image_id}")
+        return image_id, box_id, _inside(sizes, image_id, Box(*xy))
+    return read_records(path, (str, int, finite, finite, finite, finite), row)
 
 
 def write_masks_file(path, masks):
@@ -172,8 +191,14 @@ def _runs(text):
 
 
 def read_masks_file(path, sizes=None):
-    """[SegmentMask]; masks of images in sizes must have their dims."""
+    """[SegmentMask]; masks of images in sizes must have their dims.
+
+    Segment ids are unique within an image.
+    """
+    seen = set()
+
     def mask(image_id, segment_id, height, width, runs):
+        _once(seen, (image_id, segment_id), f"segment id {segment_id} in image {image_id}")
         if sizes and sizes.get(image_id, (width, height)) != (width, height):
             raise ValueError(f"mask dims {height}x{width} differ from image "
                              f"{image_id} dims {sizes[image_id][1]}x{sizes[image_id][0]}")
@@ -195,13 +220,16 @@ def _difficult(tok):
     return tok == "1"
 
 
-def read_gt_file(path, sizes=None):
-    """[(image_id, class_id, Box, difficult)]; as read_boxes_file for sizes."""
+def read_gt_file(path, sizes=None, n_classes=None):
+    """[(image_id, class_id, Box, difficult)]; as read_boxes_file for sizes.
+
+    With n_classes, class ids must lie in 1..n_classes.
+    """
     return read_records(
         path, (str, int, finite, finite, finite, finite, _difficult),
         lambda image_id, class_id, x1, y1, x2, y2, difficult: (
-            image_id, class_id, _inside(sizes, image_id, Box(x1, y1, x2, y2)),
-            difficult))
+            image_id, _class_id(n_classes, class_id, "ground truth"),
+            _inside(sizes, image_id, Box(x1, y1, x2, y2)), difficult))
 
 
 def write_seg_scores_file(path, rows):
@@ -211,8 +239,19 @@ def write_seg_scores_file(path, rows):
             f.write(f"{image_id},{seg_id},{class_id},{float(score)!r}\n")
 
 
-def read_seg_scores_file(path):
-    return read_records(path, (str, int, int, finite), lambda *row: row)
+def read_seg_scores_file(path, n_classes=None):
+    """[(image_id, segment_id, class_id, score)], one row per key at most.
+
+    With n_classes, class ids must lie in 1..n_classes.
+    """
+    seen = set()
+
+    def row(image_id, seg_id, class_id, score):
+        _class_id(n_classes, class_id, "segment score")
+        _once(seen, (image_id, seg_id, class_id),
+              f"score for segment {seg_id} of {image_id}, class {class_id}")
+        return image_id, seg_id, class_id, score
+    return read_records(path, (str, int, int, finite), row)
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +368,6 @@ class Dataset:
             rec = self.images.get(image_id)
             if rec is None:
                 continue
-            if box_id in rec.box_ids:
-                raise InputError(f"duplicate box id {box_id} in image {image_id}")
             rec.box_ids.append(box_id)
             rec.boxes.append(box)
             rec.rows.append(row_idx)
@@ -343,17 +380,13 @@ class Dataset:
         for rec in self.images.values():
             rec.masks.sort(key=lambda m: m.segment_id)
 
-        self.seg_scores = {}
-        for image_id, seg_id, class_id, score in read_seg_scores_file(
-                manifest.resolve(manifest.seg_scores_file)):
-            if class_id < 1 or class_id > self.n_classes:
-                raise InputError(f"segment score with invalid class id {class_id}")
-            self.seg_scores[(image_id, seg_id, class_id)] = score
+        scores_path = manifest.resolve(manifest.seg_scores_file)
+        self.seg_scores = {(image_id, seg_id, class_id): score
+                           for image_id, seg_id, class_id, score
+                           in read_seg_scores_file(scores_path, self.n_classes)}
 
         for image_id, class_id, box, difficult in read_gt_file(
-                manifest.resolve(manifest.ground_truth_file), sizes):
-            if class_id < 1 or class_id > self.n_classes:
-                raise InputError(f"ground truth with invalid class id {class_id}")
+                manifest.resolve(manifest.ground_truth_file), sizes, self.n_classes):
             if image_id in self.images:
                 self.images[image_id].gts.append((class_id, box, difficult))
 
@@ -375,8 +408,8 @@ class Dataset:
                 for c in range(1, self.n_classes + 1):
                     if (rec.image_id, mask.segment_id, c) not in self.seg_scores:
                         raise InputError(
-                            f"missing score for segment {mask.segment_id} of "
-                            f"{rec.image_id}, class {c}")
+                            f"{scores_path}: missing score for segment "
+                            f"{mask.segment_id} of {rec.image_id}, class {c}")
 
     @property
     def d_app(self):

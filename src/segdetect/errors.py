@@ -28,10 +28,6 @@ class DegenerateNormalizer(NumericalError):
     """Background normalizer M - |S| is negative (inconsistent inputs)."""
 
 
-class MissingFeatures(InputError):
-    """No feature row cached for the requested (image, box)."""
-
-
 class InsufficientPairs(InputError):
     """Too few training pairs to fit the box regressor."""
 

@@ -30,6 +30,7 @@ class SegmentMask:
         self.runs = tuple((int(s), int(l)) for s, l in runs)
         self.pixel_count = count
         self._integral = None
+        self._tight_box = None
 
     @classmethod
     def from_array(cls, arr, image_id="", segment_id=0):
@@ -74,13 +75,16 @@ def rect_count(table: np.ndarray, x1: int, y1: int, x2: int, y2: int) -> int:
 
 
 def tight_box(mask: SegmentMask) -> Box:
-    """Smallest box containing every mask pixel."""
+    """Smallest box containing every mask pixel; found once per mask, then cached."""
     if mask.pixel_count == 0:
         raise EmptySegment(f"segment {mask.segment_id} of {mask.image_id} is empty")
-    arr = mask.to_array()
-    rows = np.flatnonzero(arr.any(axis=1))
-    cols = np.flatnonzero(arr.any(axis=0))
-    return Box(float(cols[0]), float(rows[0]), float(cols[-1]), float(rows[-1]))
+    if mask._tight_box is None:
+        arr = mask.to_array()
+        rows = np.flatnonzero(arr.any(axis=1))
+        cols = np.flatnonzero(arr.any(axis=0))
+        mask._tight_box = Box(float(cols[0]), float(rows[0]),
+                              float(cols[-1]), float(rows[-1]))
+    return mask._tight_box
 
 
 def largest_segment_area(masks) -> int:

@@ -3,6 +3,7 @@
 The energy of a box is a linear appearance term, a linear context term, and a
 sum over classes of segment-choice contributions.  The segment variables are
 independent across classes, so maximizing each class on its own is exact.
+`score_box` is the one place that chooses segments.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from .boxes import Box, iou
 from .dataset import finite, read_blocks, read_records
-from .errors import InputError, MissingFeatures
+from .errors import InputError
 from .segfeat import GridSpec, assemble_block, block_length, segclass_feat
 from .masks import largest_segment_area
 
@@ -106,7 +107,7 @@ class FeatureBundle:
 
     seg_base[b, s] holds the class-independent part of the segmentation block
     for (box b, segment s); only the final (segclass) slot varies with class,
-    provided by sigmoid_scores[s, c].
+    provided by sigmoid_scores[s, c].  Segments are in ascending id order.
     """
     image_id: str
     width: int
@@ -128,13 +129,6 @@ class FeatureBundle:
     @property
     def n_segs(self):
         return len(self.seg_ids)
-
-    def box_index(self, box_id):
-        try:
-            return self.box_ids.index(box_id)
-        except ValueError:
-            raise MissingFeatures(
-                f"no feature row for box {box_id} in image {self.image_id}") from None
 
 
 def build_bundle(dataset, image_id, grid_k, lam) -> FeatureBundle:
@@ -165,8 +159,6 @@ def build_bundle(dataset, image_id, grid_k, lam) -> FeatureBundle:
 def segment_contributions(bundle: FeatureBundle, weights: ModelWeights,
                           detector, box_index) -> np.ndarray:
     """(n_segs, C) matrix of per-class contributions for one box."""
-    if bundle.n_segs == 0:
-        return np.zeros((0, weights.n_classes))
     base = bundle.seg_base[box_index]            # (n_segs, L)
     out = np.empty((bundle.n_segs, weights.n_classes))
     for c in range(1, weights.n_classes + 1):
@@ -176,8 +168,9 @@ def segment_contributions(bundle: FeatureBundle, weights: ModelWeights,
 
 
 def select_segment(contribs_for_class, seg_ids):
-    """Argmax over {none} + segments; ties prefer none, then lowest segment id.
+    """Reference for score_box's choice, kept for the tests.
 
+    Argmax over {none} + segments; ties prefer none, then lowest segment id.
     Returns (segment_id or None, contribution). The no-segment choice
     contributes exactly 0.
     """
@@ -194,6 +187,9 @@ def select_segment(contribs_for_class, seg_ids):
 def score_box(bundle: FeatureBundle, weights: ModelWeights, detector, box_index):
     """Greedy-exact energy of one box under detector `detector` (1-based).
 
+    Every class takes the argmax over {none} + segments at once.  None is
+    worth exactly 0.0 and comes first, and segments are in ascending id
+    order, so ties prefer none, then the lowest segment id.
     Returns (score, chosen_segments) where chosen_segments has one entry per
     segment-choice class (None = no segment).
     """
@@ -201,13 +197,13 @@ def score_box(bundle: FeatureBundle, weights: ModelWeights, detector, box_index)
     score = float(bundle.appearance[box_index] @ weights.w_app[d]
                   + bundle.context[box_index] @ weights.w_ctx[d]
                   + weights.bias[d])
-    chosen = []
-    contribs = segment_contributions(bundle, weights, detector, box_index)
-    for c in range(weights.n_classes):
-        seg_id, contrib = select_segment(contribs[:, c], bundle.seg_ids)
-        chosen.append(seg_id)
-        score += contrib
-    return score, chosen
+    options = np.vstack([np.zeros(weights.n_classes),
+                         segment_contributions(bundle, weights, detector, box_index)])
+    best = options.argmax(axis=0)
+    for gain in options[best, np.arange(weights.n_classes)].tolist():
+        score += gain       # one class at a time, in class order
+    ids = [NONE_SEGMENT, *bundle.seg_ids]
+    return score, [ids[s] for s in best.tolist()]
 
 
 @dataclass

@@ -18,9 +18,7 @@ import numpy as np
 from .boxes import iou
 from .errors import DivergedError
 from .masks import tight_box
-from .model import (FeatureBundle, ModelWeights, build_bundle, score_box,
-                    segment_contributions, select_segment)
-from .segfeat import block_length
+from .model import FeatureBundle, ModelWeights, build_bundle, score_box
 
 log = logging.getLogger(__name__)
 
@@ -65,10 +63,8 @@ def init_latent(bundle: FeatureBundle, box_index, n_classes):
 
 def relabel_positives(bundle: FeatureBundle, weights: ModelWeights,
                       detector, box_index):
-    """Greedy per-class argmax of the segment contribution under current weights."""
-    contribs = segment_contributions(bundle, weights, detector, box_index)
-    return [select_segment(contribs[:, c], bundle.seg_ids)[0]
-            for c in range(weights.n_classes)]
+    """Latent step: the segments score_box chooses under the current weights."""
+    return score_box(bundle, weights, detector, box_index)[1]
 
 
 def seg_feature_vector(bundle: FeatureBundle, box_index, latent, L):
@@ -212,11 +208,9 @@ def _store_detector_weights(weights: ModelWeights, detector, w):
     weights.bias[d] = w[-1]
 
 
-def _instance_row(bundle, box_index, latent, L, use_seg):
-    seg = (seg_feature_vector(bundle, box_index, latent, L)
-           if use_seg else np.zeros(len(latent) * L))
+def _instance_row(bundle, box_index, latent, L):
     return np.concatenate([bundle.appearance[box_index], bundle.context[box_index],
-                           seg, [1.0]])
+                           seg_feature_vector(bundle, box_index, latent, L), [1.0]])
 
 
 def train_class(bundles, labels_per_image, weights: ModelWeights, detector,
@@ -224,6 +218,9 @@ def train_class(bundles, labels_per_image, weights: ModelWeights, detector,
     """Run the two-step outer loop for one detector class in place.
 
     bundles: list of FeatureBundle; labels_per_image: matching +1/-1/0 arrays.
+    Without use_seg the positives start at no segment.  With w_seg at zero,
+    score_box then picks no segment anywhere, every segment column of the
+    cache is zero and SGD leaves w_seg at exactly zero.
     Returns the per-round logs, or None when the class has no positives.
     """
     L = weights.seg_block_len
@@ -234,45 +231,31 @@ def train_class(bundles, labels_per_image, weights: ModelWeights, detector,
                  for b in np.flatnonzero(labels == -1)]
     if not positives:
         return None
-    latent = {key: init_latent(bundles[key[0]], key[1], n_classes)
-              for key in positives}
+    latent = {key: init_latent(bundles[key[0]], key[1], n_classes) if use_seg
+              else [None] * n_classes for key in positives}
     rounds = []
     for rnd in range(1, cfg.outer_iters + 1):
         changed = 0
-        if rnd > 1 and use_seg:
+        if rnd > 1:
             for key in positives:
                 new = relabel_positives(bundles[key[0]], weights, detector, key[1])
                 changed += sum(a != b for a, b in zip(new, latent[key]))
                 latent[key] = new
-        pos_rows = [_instance_row(bundles[i], b, latent[(i, b)], L, use_seg)
+        pos_rows = [_instance_row(bundles[i], b, latent[(i, b)], L)
                     for i, b in positives]
         scored = []
         for i, b in negatives:
             bundle = bundles[i]
-            if use_seg:
-                score, h = score_box(bundle, weights, detector, b)
-            else:
-                d = detector - 1
-                score = float(bundle.appearance[b] @ weights.w_app[d]
-                              + bundle.context[b] @ weights.w_ctx[d]
-                              + weights.bias[d])
-                h = [None] * n_classes
+            score, h = score_box(bundle, weights, detector, b)
             scored.append((score, bundle.image_id, bundle.box_ids[b],
-                           _instance_row(bundle, b, h, L, use_seg)))
+                           _instance_row(bundle, b, h, L)))
         mined = mine_hard_negatives(scored, cfg.neg_cache_cap)
         X = np.array(pos_rows + [feat for _, _, _, feat in mined])
         y = np.array([1.0] * len(pos_rows) + [-1.0] * len(mined))
         sgd_cfg = SgdConfig(c_reg=cfg.c_reg, eta0=cfg.eta0, decay=cfg.decay,
                             epochs=cfg.epochs, batch_size=cfg.batch_size,
                             seed=cfg.seed + detector)
-        w0 = _detector_weight_vector(weights, detector)
-        if not use_seg:
-            a, b = weights.d_app, weights.d_ctx
-            w0[a + b:-1] = 0.0
-        w, trace = sgd_fit(X, y, w0, sgd_cfg)
-        if not use_seg:
-            a, b = weights.d_app, weights.d_ctx
-            w[a + b:-1] = 0.0
+        w, trace = sgd_fit(X, y, _detector_weight_vector(weights, detector), sgd_cfg)
         _store_detector_weights(weights, detector, w)
         rounds.append(RoundLog(rnd, detector,
                                hinge_objective(w, X, y, cfg.c_reg),

@@ -65,6 +65,14 @@ def _replace(old, new):
     return edit
 
 
+def _repeat_line(lineno):
+    """Edit that writes line `lineno` (1-based) twice."""
+    def edit(text):
+        lines = text.splitlines(keepends=True)
+        return "".join(lines[:lineno] + lines[lineno - 1:])
+    return edit
+
+
 def _config(key, value):
     return "config.txt", lambda text: re.sub(rf"(?m)^{key} .*$", f"{key} {value}", text)
 
@@ -76,6 +84,18 @@ CASES = [
      r"boxes\.csv:1: .*outside"),
     ("gt-outside-image", "gt.csv", _set_field(2, 5, "64.0"), "iterate",
      r"gt\.csv:2: .*outside"),
+    ("gt-class-9", "gt.csv", _set_field(1, 1, "9"), "iterate",
+     r"gt\.csv:1: ground truth with invalid class id 9"),
+    ("seg-score-class-7", "seg_scores.csv", _set_field(1, 2, "7"), "iterate",
+     r"seg_scores\.csv:1: segment score with invalid class id 7"),
+    ("duplicate-box-id", "boxes.csv", _set_field(2, 1, "0"), "iterate",
+     r"boxes\.csv:2: duplicate box id 0 in image img0000"),
+    ("missing-seg-score", "seg_scores.csv", lambda text: text.split("\n", 1)[1],
+     "iterate", r"seg_scores\.csv: missing score for segment 0 of img0000, class 1"),
+    ("repeated-mask", "masks.txt", _repeat_line(1), "iterate",
+     r"masks\.txt:2: duplicate segment id 0 in image img0000"),
+    ("repeated-seg-score", "seg_scores.csv", _repeat_line(1), "iterate",
+     r"seg_scores\.csv:2: duplicate score for segment 0 of img0000, class 1"),
     ("image-zero-width", "manifest.txt", _replace("img0000 64 64", "img0000 0 64"),
      "iterate", r"manifest\.txt:\d+: .*width"),
     ("manifest-repeated-boxes", "manifest.txt",

@@ -87,12 +87,3 @@ def test_bad_config_exit_2(workdir, tmp_path):
 
 def test_bad_flag_exit_2():
     assert main(["synth", "--no-such-flag"]) == 2
-
-
-def test_bench_writes_csv(tmp_path):
-    out = tmp_path / "bench.csv"
-    assert main(["bench", "--grid", "2", "--sizes", "16,32",
-                 "--out", str(out)]) == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "size,naive_s,integral_s"
-    assert len(lines) == 3

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import make_bundle, random_boxes, random_masks
 from segdetect.boxes import Box
-from segdetect.errors import InputError, MissingFeatures
+from segdetect.errors import InputError
 from segdetect.masks import SegmentMask
 from segdetect.model import (Detection, ModelWeights, detect_image, load_model,
                              nms, read_detections, save_model, score_box,
@@ -126,10 +126,76 @@ def test_score_is_base_plus_clamped_contribution_maxima(rng):
         assert score == pytest.approx(expected, abs=1e-10)
 
 
-def test_missing_feature_row(rng):
-    bundle, weights = random_instance(rng, 2, 1)
-    with pytest.raises(MissingFeatures):
-        bundle.box_index(999)
+def reference_score(bundle, weights, detector, box_index):
+    """Linear part plus select_segment's contributions, added in class order."""
+    d = detector - 1
+    score = float(bundle.appearance[box_index] @ weights.w_app[d]
+                  + bundle.context[box_index] @ weights.w_ctx[d]
+                  + weights.bias[d])
+    contribs = segment_contributions(bundle, weights, detector, box_index)
+    chosen = []
+    for c in range(weights.n_classes):
+        seg_id, gain = select_segment(contribs[:, c], bundle.seg_ids)
+        chosen.append(seg_id)
+        score += gain
+    return score, chosen
+
+
+def tie_instance(rng, n_classes=3):
+    """Two identical segments with equal class scores, and a third one."""
+    masks = random_masks(rng, 2, 12, 12)
+    masks = [SegmentMask(m.image_id, s, m.height, m.width, m.runs)
+             for s, m in enumerate([masks[0], masks[0], masks[1]])]
+    boxes = random_boxes(rng, 3, 12, 12)
+    raw = rng.normal(0, 2, (3, n_classes))
+    raw[1] = raw[0]
+    bundle = make_bundle("img", 12, 12, boxes, masks, raw,
+                         rng.normal(0, 1, (3, 4)), rng.normal(0, 1, (3, 3)), 2, -0.7)
+    weights = random_weights(rng, n_classes, 2, 4, 3)
+    # every seg feature is >= 0 and the overlap slot is > 0, so each class
+    # picks a segment
+    weights.w_seg = np.abs(weights.w_seg)
+    return bundle, weights
+
+
+def test_score_box_matches_select_segment_reference_exactly(rng):
+    cases = [random_instance(rng, int(rng.integers(1, 5)), int(rng.integers(0, 6)))
+             for _ in range(40)]
+    tie = tie_instance(rng)
+    zero_bundle, _ = random_instance(rng, 3, 4)
+    cases += [tie, (zero_bundle, ModelWeights.zeros(3, 2, -0.7, 4, 3))]
+    for bundle, weights in cases:
+        for detector in range(1, weights.n_classes + 1):
+            for b in range(bundle.n_boxes):
+                assert score_box(bundle, weights, detector, b) == \
+                    reference_score(bundle, weights, detector, b)
+    bundle, weights = tie
+    chosen = [seg for d in range(1, 4) for b in range(3)
+              for seg in score_box(bundle, weights, d, b)[1]]
+    assert 0 in chosen and 1 not in chosen and None not in chosen
+    assert score_box(zero_bundle, cases[-1][1], 2, 1) == (0.0, [None, None, None])
+
+
+def test_build_bundle_decodes_each_mask_at_most_twice(tmp_path, monkeypatch):
+    from segdetect.dataset import Dataset, read_manifest
+    from segdetect.model import build_bundle
+    from segdetect.synth import SynthConfig, generate
+    generate(SynthConfig(seed=2, n_images=3, boxes_per_image=12,
+                         segments_per_image=3), str(tmp_path))
+    dataset = Dataset(read_manifest(tmp_path / "manifest.txt"), min_segment_pixels=0)
+    calls = {}
+    to_array = SegmentMask.to_array
+
+    def counted(mask):
+        key = (mask.image_id, mask.segment_id)
+        calls[key] = calls.get(key, 0) + 1
+        return to_array(mask)
+
+    monkeypatch.setattr(SegmentMask, "to_array", counted)
+    for image_id in dataset.image_order:
+        build_bundle(dataset, image_id, 2, -0.7)
+    assert len(calls) == sum(len(dataset.record(i).masks) for i in dataset.image_order)
+    assert max(calls.values()) <= 2
 
 
 def quadratic_nms(boxes, scores, box_ids, thresh):

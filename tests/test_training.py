@@ -182,3 +182,21 @@ def test_hinge_objective_values():
     assert hinge_objective(w, X, y, 5.0) == pytest.approx(1.0)
     w = np.array([0.0, 0.0])
     assert hinge_objective(w, X, y, 5.0) == pytest.approx(10.0)
+
+
+def test_no_seg_training_keeps_seg_weights_at_plus_zero(tmp_path):
+    from segdetect.config import load_config
+    from segdetect.dataset import Dataset, read_manifest
+    from segdetect.synth import SynthConfig, generate
+    from segdetect.training import train
+    generate(SynthConfig(seed=3, n_images=12, box_jitter=0.1, seg_noise=0.1,
+                         feature_noise=1.0), str(tmp_path))
+    cfg = load_config(tmp_path / "config.txt")
+    dataset = Dataset(read_manifest(tmp_path / "manifest.txt"),
+                      min_segment_pixels=cfg.min_segment_pixels)
+    result = train(dataset, cfg, use_seg=False)
+    assert result.rounds and cfg.outer_iters > 1
+    assert np.all(result.weights.w_seg == 0.0)
+    assert not np.signbit(result.weights.w_seg).any()
+    assert all(r.num_latent_changed == 0 for r in result.rounds)
+    assert np.any(result.weights.w_app != 0.0)
