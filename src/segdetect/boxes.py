@@ -33,10 +33,6 @@ class Box:
         return (round_half_away(self.x1), round_half_away(self.y1),
                 round_half_away(self.x2), round_half_away(self.y2))
 
-    def int_area(self) -> int:
-        x1, y1, x2, y2 = self.rounded()
-        return (x2 - x1 + 1) * (y2 - y1 + 1)
-
     def center_size(self) -> tuple[float, float, float, float]:
         """(cx, cy, w, h) with the +1 width convention."""
         w = self.x2 - self.x1 + 1.0

@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 input error (bad file/flag), 3 numerical error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -22,12 +21,6 @@ from .model import (build_bundle, detect_image, load_model, read_detections,
                     save_model, write_detections)
 from .synth import SynthConfig, generate
 from .training import train, write_training_log
-
-
-def _effective_threads(flag):
-    if flag and flag > 0:
-        return flag
-    return os.cpu_count() or 1
 
 
 def _load_dataset(manifest_path, cfg: Config) -> Dataset:
@@ -79,8 +72,7 @@ def cmd_featdump(args):
 def cmd_train(args):
     cfg = _load_config(args.config)
     dataset = _load_dataset(args.manifest, cfg)
-    result = train(dataset, cfg, use_seg=not args.no_seg,
-                   threads=_effective_threads(args.threads or cfg.threads))
+    result = train(dataset, cfg, use_seg=not args.no_seg)
     save_model(args.out, result.weights)
     if args.log:
         write_training_log(args.log, result.rounds)
@@ -92,19 +84,10 @@ def cmd_detect(args):
     cfg = _load_config(args.config)
     dataset = _load_dataset(args.manifest, cfg)
     weights = _load_model_for(args.model, dataset)
-    threads = _effective_threads(args.threads or cfg.threads)
-
-    def run(image_id):
+    detections = []
+    for image_id in dataset.image_order:
         bundle = build_bundle(dataset, image_id, weights.grid_k, weights.lam)
-        return detect_image(bundle, weights, cfg.nms_iou, cfg.top_k)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_image = list(pool.map(run, dataset.image_order))
-    else:
-        per_image = [run(i) for i in dataset.image_order]
-    detections = [d for dets in per_image for d in dets]
+        detections.extend(detect_image(bundle, weights, cfg.nms_iou, cfg.top_k))
     write_detections(args.out, detections)
     print(f"{len(detections)} detections written to {args.out}")
     return 0
@@ -255,7 +238,7 @@ def build_parser():
     p.add_argument("--log")
     p.add_argument("--no-seg", action="store_true",
                    help="ablation: zero segmentation weights")
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, help="ignored: every run is single-threaded")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("detect", help="score all boxes and run NMS")
@@ -263,7 +246,7 @@ def build_parser():
     p.add_argument("--config")
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, help="ignored: every run is single-threaded")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("regress", help="fit or apply the box regressor")

@@ -37,8 +37,6 @@ class Config:
     # evaluation
     eval_iou: float = 0.5
     eleven_point: bool = False
-    # execution
-    threads: int = 0   # 0 = machine parallelism
 
     def __post_init__(self):
         for name, value in vars(self).items():
@@ -53,7 +51,7 @@ _RANGES = {
     (1, math.inf, False): ("grid_k", "top_k", "epochs", "batch_size",
                            "neg_cache_cap", "outer_iters"),
     (0, math.inf, False): ("min_segment_pixels", "decay", "seed", "ridge",
-                           "bbox_max_iters", "threads"),
+                           "bbox_max_iters"),
     (0, math.inf, True): ("c_reg", "eta0"),
     (0, 1, False): ("nms_iou", "change_thresh"),
     (0, 1, True): ("pos_iou", "neg_iou", "reg_pair_iou", "eval_iou"),

@@ -308,6 +308,10 @@ def read_manifest(path):
             if values[0] != "1":
                 raise ValueError(f"unsupported manifest version {values[0]}")
         elif key == "class":
+            # a class name also names its PR-curve file
+            if values[0] in classes or {"/", os.sep, os.altsep} & set(values[0]):
+                raise ValueError(f"class name {values[0]!r} is repeated or holds "
+                                 "a path separator")
             classes.append(values[0])
         elif key == "image":
             width, height = int(values[1]), int(values[2])

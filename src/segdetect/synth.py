@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,9 +25,18 @@ from .config import Config, save_config
 from .dataset import (Manifest, write_boxes_file, write_feature_matrix,
                       write_gt_file, write_manifest, write_masks_file,
                       write_seg_scores_file)
+from .errors import InputError
 from .masks import SegmentMask
 
 D_REG = 5   # [dx, dy, dlogw, dlogh, 1]
+
+
+# lowest value of each bounded SynthConfig field; segment sides are drawn from
+# [size // 5, size // 3), which is empty below 6 pixels
+_LOWEST = {"seed": 0, "n_images": 1, "n_classes": 1, "boxes_per_image": 0,
+           "segments_per_image": 0, "width": 6, "height": 6, "objects_per_image": 1,
+           "box_jitter": 0, "seg_noise": 0, "feature_noise": 0, "score_noise": 0,
+           "d_app": 1, "d_ctx": 1}
 
 
 @dataclass
@@ -41,13 +50,21 @@ class SynthConfig:
     height: int = 64
     objects_per_image: int = 2
     box_jitter: float = 0.0     # fraction of object size
-    seg_noise: float = 0.0      # fractional erosion/dilation of segment rects
+    seg_noise: float = 0.0      # fractional erosion of segment rects
     feature_noise: float = 0.0  # stddev on appearance/context vectors
     score_noise: float = 0.0    # stddev on raw segment class scores
     d_app: int = 16
     d_ctx: int = 8
     train_fraction: float = 0.8
     proto_scale: float = 2.0
+
+    def __post_init__(self):
+        """Reject values the generator cannot use, before anything is written."""
+        for fld in fields(self):
+            value = getattr(self, fld.name)
+            low = _LOWEST.get(fld.name, -math.inf)
+            if not (math.isfinite(value) and value >= low):
+                raise InputError(f"{fld.name} must be finite and >= {low}, got {value}")
 
 
 def _logit(x):
@@ -75,6 +92,7 @@ class SynthWorld:
         self.ctx_protos = self._prototypes(rng, cfg.d_ctx, cfg.n_classes,
                                            cfg.proto_scale)
         self.images = [self._make_image(rng, i) for i in range(cfg.n_images)]
+        self._by_id = {img.image_id: img for img in self.images}
         # per-box feature noise drawn once so files are reproducible
         self._noise = {}
         for img in self.images:
@@ -165,11 +183,11 @@ class SynthWorld:
         w = gt.x2 - gt.x1 + 1
         h = gt.y2 - gt.y1 + 1
         dx1, dy1, dx2, dy2 = rng.uniform(0.0, amount, 4)
-        shrunk = Box(gt.x1 + dx1 * w * 0.5, gt.y1 + dy1 * h * 0.5,
-                     gt.x2 - dx2 * w * 0.5, gt.y2 - dy2 * h * 0.5)
-        if shrunk.x1 > shrunk.x2 or shrunk.y1 > shrunk.y2:
+        x1, y1 = gt.x1 + dx1 * w * 0.5, gt.y1 + dy1 * h * 0.5
+        x2, y2 = gt.x2 - dx2 * w * 0.5, gt.y2 - dy2 * h * 0.5
+        if x1 > x2 or y1 > y2:     # over-eroded: fall back to the object itself
             return gt
-        return shrunk
+        return Box(x1, y1, x2, y2)
 
     # -- feature functions -------------------------------------------------
 
@@ -190,7 +208,7 @@ class SynthWorld:
         Context looks at the box grown by half its size in each direction,
         mimicking an expanded-receptive-field descriptor.
         """
-        img = self._image(image_id)
+        img = self._by_id[image_id]
         row = self._proto_row(img, box)
         grown = expand_box(box, 0.5, self.cfg.width, self.cfg.height)
         ctx_row = self._proto_row(img, grown)
@@ -203,12 +221,6 @@ class SynthWorld:
         gx, gy, gw, gh = nearest.center_size()
         return np.array([(gx - px) / pw, (gy - py) / ph,
                          math.log(gw / pw), math.log(gh / ph), 1.0])
-
-    def _image(self, image_id) -> SynthImage:
-        for img in self.images:
-            if img.image_id == image_id:
-                return img
-        raise KeyError(image_id)
 
     def provider(self, image_id, box):
         return self.features_for_box(image_id, box)

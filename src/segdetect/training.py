@@ -10,7 +10,6 @@ objective non-increasing across the round.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -263,13 +262,13 @@ def train_class(bundles, labels_per_image, weights: ModelWeights, detector,
     return rounds
 
 
-def train(dataset, cfg, use_seg=True, threads=1) -> TrainResult:
+def train(dataset, cfg, use_seg=True) -> TrainResult:
     """Train all detector classes; returns fresh weights plus per-round logs."""
     bundles = [build_bundle(dataset, image_id, cfg.grid_k, cfg.lambda_bias)
                for image_id in dataset.image_order]
     weights = ModelWeights.zeros(dataset.n_classes, cfg.grid_k, cfg.lambda_bias,
                                  dataset.d_app, dataset.d_ctx)
-    per_class_labels = {}
+    rounds = []
     for detector in range(1, dataset.n_classes + 1):
         labels = []
         for bundle in bundles:
@@ -277,23 +276,9 @@ def train(dataset, cfg, use_seg=True, threads=1) -> TrainResult:
             gts = [g for cid, g, difficult in rec.gts
                    if cid == detector and not difficult]
             labels.append(assign_labels(bundle.boxes, gts, cfg.pos_iou, cfg.neg_iou))
-        per_class_labels[detector] = labels
-
-    def run(detector):
-        return train_class(bundles, per_class_labels[detector], weights, detector,
-                           cfg, use_seg=use_seg)
-
-    classes = range(1, dataset.n_classes + 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, classes))
-    else:
-        results = [run(d) for d in classes]
-    rounds = []
-    for detector, res in zip(classes, results):
+        res = train_class(bundles, labels, weights, detector, cfg, use_seg=use_seg)
         if res is None:
             log.warning("class %d has no positives; detector left at zero", detector)
             continue
         rounds.extend(res)
-    rounds.sort(key=lambda r: (r.class_id, r.round))
     return TrainResult(weights=weights, rounds=rounds)

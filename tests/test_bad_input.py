@@ -98,6 +98,10 @@ CASES = [
      r"seg_scores\.csv:2: duplicate score for segment 0 of img0000, class 1"),
     ("image-zero-width", "manifest.txt", _replace("img0000 64 64", "img0000 0 64"),
      "iterate", r"manifest\.txt:\d+: .*width"),
+    ("class-name-path-separator", "manifest.txt", _replace("class class1\n", "class a/b\n"),
+     "iterate", r"manifest\.txt:2: .*a/b"),
+    ("class-name-repeated", "manifest.txt", _replace("class class2\n", "class class1\n"),
+     "iterate", r"manifest\.txt:3: .*class1"),
     ("manifest-repeated-boxes", "manifest.txt",
      _replace("boxes boxes.csv\n", "boxes boxes.csv\nboxes gt.csv\n"),
      "iterate", r"manifest\.txt:\d+: .*boxes"),
@@ -124,11 +128,14 @@ CASES = [
     ("iterate-without-regressor", None, None, "iterate-no-regressor", r"--regressor"),
     ("config-repeated-key", "config.txt", lambda text: text + "epochs 2\n", "iterate",
      r"config\.txt:\d+: .*epochs"),
+    # config files written before the thread pools were removed end in this line
+    ("config-old-threads-line", "config.txt", lambda text: text + "threads 0\n", "iterate",
+     r"config\.txt:\d+: .*threads"),
     *[(f"config-{key}-{value}", *_config(key, value), "iterate",
        rf"config\.txt:\d+: .*{key}")
       for key, value in [("batch_size", 0), ("nms_iou", -5), ("top_k", -3),
                          ("epochs", -1), ("eval_iou", 0), ("eta0", 0),
-                         ("change_thresh", 2), ("threads", -1), ("lambda_bias", "nan")]],
+                         ("change_thresh", 2), ("lambda_bias", "nan")]],
 ]
 
 
@@ -145,6 +152,24 @@ def test_bad_input_exits_2_naming_the_file(world, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert re.search(expect, err), err
+
+
+# (SynthConfig field, synth flag, bad value)
+BAD_SYNTH = [("width", "--width", "5"), ("height", "--height", "5"),
+             ("n_classes", "--classes", "0"), ("d_app", "--dapp", "0"),
+             ("box_jitter", "--box-jitter", "-1"), ("n_images", "--images", "0"),
+             ("seed", "--seed", "-1"), ("seg_noise", "--seg-noise", "-0.5"),
+             ("feature_noise", "--feat-noise", "nan")]
+
+
+@pytest.mark.parametrize("field,flag,value", BAD_SYNTH,
+                         ids=[f"{flag}={value}" for _, flag, value in BAD_SYNTH])
+def test_bad_synth_argument_exits_2_before_writing(tmp_path, capsys, field, flag, value):
+    out = tmp_path / "w"
+    assert main(["synth", "--out", str(out), "--images", "4", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be"), err
+    assert not out.exists()
 
 
 # file -> command that reads it

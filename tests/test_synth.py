@@ -113,3 +113,10 @@ def test_provider_unknown_image_raises_keyerror():
     world = SynthWorld(SynthConfig(seed=0, n_images=2))
     with pytest.raises(KeyError):
         world.provider("nope", world.images[0].gts[0][1])
+
+
+def test_over_eroded_segment_falls_back_to_its_object(tmp_path):
+    # seed 0 erodes at least one segment at seg_noise 1.0 past its own size
+    world = generate(SynthConfig(seed=0, n_images=20, seg_noise=1.0), str(tmp_path / "d"))
+    assert any(rect == source for img in world.images
+               for _, source, class_id, rect in img.segments if class_id)
