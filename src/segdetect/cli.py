@@ -1,6 +1,6 @@
 """Command-line surface.
 
-Exit codes: 0 success, 2 input error (bad file/flag), 3 numerical error.
+Exit codes: 0 success, 2 input error (bad file/flag) or unwritable output, 3 numerical error.
 """
 
 from __future__ import annotations
@@ -189,7 +189,7 @@ def _load_regressor(path):
 def cmd_eval(args):
     cfg = _load_config(args.config)
     dataset = _load_dataset(args.manifest, cfg)
-    detections = read_detections(args.detections)
+    detections = read_detections(args.detections, dataset.n_classes)
     gts = _gts_by_image(dataset)
     report = evaluate_detections(detections, gts, dataset.n_classes,
                                  cfg.eval_iou, cfg.eleven_point)
@@ -276,13 +276,10 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except NumericalError as e:
         print(f"numerical error: {e}", file=sys.stderr)
         return 3
-    except SegDetectError as e:
+    except (SegDetectError, OSError) as e:     # OSError: an output path cannot be written
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -150,7 +150,7 @@ def _once(seen, key, what):
     seen.add(key)
 
 
-def _class_id(n_classes, class_id, what):
+def valid_class_id(n_classes, class_id, what):
     """Reject a class id outside 1..n_classes when n_classes is known."""
     if n_classes and not 1 <= class_id <= n_classes:
         raise ValueError(f"{what} with invalid class id {class_id}")
@@ -190,8 +190,9 @@ def _runs(text):
     return [(int(start), int(length)) for start, length in pairs]
 
 
-def read_masks_file(path, sizes=None):
-    """[SegmentMask]; masks of images in sizes must have their dims.
+def read_masks_file(path, sizes=None, reject_empty=False):
+    """[SegmentMask]; masks of images in sizes must have their dims and, with
+    reject_empty, at least one pixel.
 
     Segment ids are unique within an image.
     """
@@ -199,9 +200,12 @@ def read_masks_file(path, sizes=None):
 
     def mask(image_id, segment_id, height, width, runs):
         _once(seen, (image_id, segment_id), f"segment id {segment_id} in image {image_id}")
-        if sizes and sizes.get(image_id, (width, height)) != (width, height):
+        size = sizes.get(image_id) if sizes else None
+        if size and size != (width, height):
             raise ValueError(f"mask dims {height}x{width} differ from image "
-                             f"{image_id} dims {sizes[image_id][1]}x{sizes[image_id][0]}")
+                             f"{image_id} dims {size[1]}x{size[0]}")
+        if size and reject_empty and not runs:
+            raise ValueError(f"segment {segment_id} of {image_id} is empty")
         return SegmentMask(image_id, segment_id, height, width, runs)
     return read_records(path, (str, int, int, int, _runs), mask, sep=None)
 
@@ -228,7 +232,7 @@ def read_gt_file(path, sizes=None, n_classes=None):
     return read_records(
         path, (str, int, finite, finite, finite, finite, _difficult),
         lambda image_id, class_id, x1, y1, x2, y2, difficult: (
-            image_id, _class_id(n_classes, class_id, "ground truth"),
+            image_id, valid_class_id(n_classes, class_id, "ground truth"),
             _inside(sizes, image_id, Box(x1, y1, x2, y2)), difficult))
 
 
@@ -247,7 +251,7 @@ def read_seg_scores_file(path, n_classes=None):
     seen = set()
 
     def row(image_id, seg_id, class_id, score):
-        _class_id(n_classes, class_id, "segment score")
+        valid_class_id(n_classes, class_id, "segment score")
         _once(seen, (image_id, seg_id, class_id),
               f"score for segment {seg_id} of {image_id}, class {class_id}")
         return image_id, seg_id, class_id, score
@@ -377,7 +381,9 @@ class Dataset:
             rec.rows.append(row_idx)
         self._n_feature_rows = len(box_rows)
 
-        for mask in read_masks_file(manifest.resolve(manifest.masks_file), sizes):
+        # a threshold of 0 would keep empty masks, which have no features
+        for mask in read_masks_file(manifest.resolve(manifest.masks_file), sizes,
+                                    reject_empty=min_segment_pixels <= 0):
             rec = self.images.get(mask.image_id)
             if rec is not None and mask.pixel_count >= min_segment_pixels:
                 rec.masks.append(mask)

@@ -12,9 +12,10 @@ class SegmentMask:
     """Binary mask of one region proposal, stored as row-major (start, length) runs."""
 
     def __init__(self, image_id, segment_id, height, width, runs):
-        if height < 1 or width < 1:
-            raise BadRle(f"bad mask dims {height}x{width}")
         total = height * width
+        if height < 1 or width < 1 or total >= 2 ** 31:
+            # integral() counts pixels in int32
+            raise BadRle(f"bad mask dims {height}x{width}: need 1 to 2**31 - 1 pixels")
         prev_end = 0
         count = 0
         for start, length in runs:
@@ -52,10 +53,10 @@ class SegmentMask:
     def integral(self) -> np.ndarray:
         """(H+1, W+1) summed-area table; entry (i, j) counts pixels in rows < i, cols < j."""
         if self._integral is None:
-            table = np.zeros((self.height + 1, self.width + 1), dtype=np.int64)
+            table = np.zeros((self.height + 1, self.width + 1), dtype=np.int32)
             table[1:, 1:] = self.to_array()
-            np.cumsum(table, axis=0, out=table)
-            np.cumsum(table, axis=1, out=table)
+            np.cumsum(table, axis=0, dtype=np.int32, out=table)
+            np.cumsum(table, axis=1, dtype=np.int32, out=table)
             self._integral = table
         return self._integral
 

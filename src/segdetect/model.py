@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boxes import Box, iou
-from .dataset import finite, read_blocks, read_records
+from .dataset import finite, read_blocks, read_records, valid_class_id
 from .errors import InputError
 from .segfeat import GridSpec, assemble_block, block_length, segclass_feat
 from .masks import largest_segment_area
@@ -255,13 +255,17 @@ def write_detections(path, detections):
                     f"{float(d.box.x2)!r},{float(d.box.y2)!r},{segs}\n")
 
 
-def read_detections(path):
-    """Detections in file order; box_id is the record number, from 1."""
+def read_detections(path, n_classes=None):
+    """Detections in file order; box_id is the record number, from 1.
+
+    With n_classes, class ids must lie in 1..n_classes.
+    """
     box_ids = itertools.count(1)
     return read_records(
         path, (str, int, finite, finite, finite, finite, finite, _segments),
         lambda image_id, class_id, score, x1, y1, x2, y2, segs: Detection(
-            image_id, class_id, next(box_ids), Box(x1, y1, x2, y2), score, segs))
+            image_id, valid_class_id(n_classes, class_id, "detection"), next(box_ids),
+            Box(x1, y1, x2, y2), score, segs))
 
 
 def _segments(text):

@@ -3,7 +3,8 @@
 Six features per class: a K*K in-box segment grid, segment-out fraction,
 a K*K in-box background grid, background-out fraction, box/segment tight-box
 overlap, and a logistic segment class score.  All grid counts go through the
-segment's summed-area table, so each feature costs four lookups per cell.
+segment's summed-area table: one pass over the K*K cells and the box gives the
+four box-sum features, each rectangle read with four lookups.
 """
 
 from __future__ import annotations
@@ -55,71 +56,59 @@ def grid_cells(p: Box, grid: GridSpec):
     return cells
 
 
-def _require_pixels(s: SegmentMask):
-    if s.pixel_count == 0:
+def _box_sums(p: Box, s: SegmentMask, grid: GridSpec, m: int) -> np.ndarray:
+    """[grid_in (K*K), seg_out, back_in (K*K), back_out] for one box and segment.
+
+    Each of the K*K cells and then the whole box is clipped to the image once;
+    its segment count comes from the summed-area table and its area from the
+    clipped corners.  Every feature is an exact integer over |S| (segment
+    features) or max(M - |S|, 1) (background features), divided once.
+    """
+    n = s.pixel_count
+    if n == 0:
         raise EmptySegment(f"segment {s.segment_id} of {s.image_id} is empty")
-
-
-def _background_denominator(m: int, seg_pixels: int) -> int:
-    if m < seg_pixels:
-        raise DegenerateNormalizer(f"largest-segment area {m} < segment size {seg_pixels}")
-    return max(m - seg_pixels, 1)
+    if m < n:
+        raise DegenerateNormalizer(f"largest-segment area {m} < segment size {n}")
+    table = s.integral()
+    cells = grid_cells(p, grid)
+    counts, areas = [], []
+    # the first cell starts and the last cell ends at the rounded box's corners
+    for x1, y1, x2, y2 in cells + [(*cells[0][:2], *cells[-1][2:])]:
+        x1, y1 = max(x1, 0), max(y1, 0)
+        x2, y2 = min(x2, s.width - 1), min(y2, s.height - 1)
+        counts.append(rect_count(table, x1, y1, x2, y2))
+        areas.append(max(x2 - x1 + 1, 0) * max(y2 - y1 + 1, 0))
+    seg = np.array(counts)
+    back = np.array(areas) - seg
+    seg[-1] = n - seg[-1]                           # segment pixels outside the box
+    back[-1] = s.height * s.width - n - back[-1]    # background pixels outside the box
+    return np.concatenate((seg, back)) / np.repeat((n, max(m - n, 1)), len(seg))
 
 
 def seggrid_in(p: Box, s: SegmentMask, grid: GridSpec) -> np.ndarray:
     """Fraction of the segment's pixels falling in each grid cell."""
-    _require_pixels(s)
-    table = s.integral()
-    counts = [rect_count(table, *cell) for cell in grid_cells(p, grid)]
-    return np.asarray(counts, dtype=np.float64) / s.pixel_count
+    # any m >= |S| will do here: the background features are dropped
+    return _box_sums(p, s, grid, s.pixel_count)[:grid.k * grid.k]
 
 
 def seg_out(p: Box, s: SegmentMask) -> float:
     """Fraction of the segment's pixels outside the box."""
-    _require_pixels(s)
-    x1, y1, x2, y2 = p.rounded()
-    inside = rect_count(s.integral(), x1, y1, x2, y2)
-    return (s.pixel_count - inside) / s.pixel_count
-
-
-def _cell_area(cell, width, height):
-    x1, y1, x2, y2 = cell
-    x1 = max(x1, 0)
-    y1 = max(y1, 0)
-    x2 = min(x2, width - 1)
-    y2 = min(y2, height - 1)
-    if x1 > x2 or y1 > y2:
-        return 0
-    return (x2 - x1 + 1) * (y2 - y1 + 1)
+    return float(_box_sums(p, s, GridSpec(1), s.pixel_count)[1])
 
 
 def backgrid_in(p: Box, s: SegmentMask, grid: GridSpec, m: int) -> np.ndarray:
     """Per-cell count of non-segment pixels, normalized by M - |S|."""
-    _require_pixels(s)
-    denom = _background_denominator(m, s.pixel_count)
-    table = s.integral()
-    vals = []
-    for cell in grid_cells(p, grid):
-        area = _cell_area(cell, s.width, s.height)
-        vals.append((area - rect_count(table, *cell)) / denom)
-    return np.asarray(vals, dtype=np.float64)
+    kk = grid.k * grid.k
+    return _box_sums(p, s, grid, m)[kk + 1:2 * kk + 1]
 
 
 def back_out(p: Box, s: SegmentMask, m: int) -> float:
     """Non-segment pixels outside the box, over the whole image, normalized by M - |S|."""
-    _require_pixels(s)
-    denom = _background_denominator(m, s.pixel_count)
-    x1, y1, x2, y2 = p.rounded()
-    box_area = _cell_area((x1, y1, x2, y2), s.width, s.height)
-    seg_in_box = rect_count(s.integral(), x1, y1, x2, y2)
-    outside = s.height * s.width - box_area
-    seg_outside = s.pixel_count - seg_in_box
-    return (outside - seg_outside) / denom
+    return float(_box_sums(p, s, GridSpec(1), m)[3])
 
 
 def overlap_feat(p: Box, s: SegmentMask, lam: float) -> float:
     """IoU between the box and the segment's tight box, minus the bias lam."""
-    _require_pixels(s)
     return iou(p, tight_box(s)) - lam
 
 
@@ -133,22 +122,11 @@ def segclass_feat(score: float) -> float:
     return e / (1.0 + e)
 
 
-def assemble_block(p: Box, s: SegmentMask | None, class_score: float,
+def assemble_block(p: Box, s: SegmentMask, class_score: float,
                    grid: GridSpec, lam: float, m: int) -> np.ndarray:
     """Concatenate the six features for one (box, segment, class) triple.
 
     Layout: [grid_in (K*K), seg_out, back_in (K*K), back_out, overlap, segclass].
-    A None segment encodes "no segment chosen" and yields the all-zero block.
     """
-    n = block_length(grid.k)
-    if s is None:
-        return np.zeros(n, dtype=np.float64)
-    kk = grid.k * grid.k
-    out = np.empty(n, dtype=np.float64)
-    out[:kk] = seggrid_in(p, s, grid)
-    out[kk] = seg_out(p, s)
-    out[kk + 1:2 * kk + 1] = backgrid_in(p, s, grid, m)
-    out[2 * kk + 1] = back_out(p, s, m)
-    out[2 * kk + 2] = overlap_feat(p, s, lam)
-    out[2 * kk + 3] = segclass_feat(class_score)
-    return out
+    return np.append(_box_sums(p, s, grid, m),
+                     (overlap_feat(p, s, lam), segclass_feat(class_score)))

@@ -94,6 +94,9 @@ CASES = [
      "iterate", r"seg_scores\.csv: missing score for segment 0 of img0000, class 1"),
     ("repeated-mask", "masks.txt", _repeat_line(1), "iterate",
      r"masks\.txt:2: duplicate segment id 0 in image img0000"),
+    # synth worlds keep every segment (min_segment_pixels 0), so an empty one is kept
+    ("empty-kept-mask", "masks.txt", _set_field(1, 4, "-", None), "iterate",
+     r"masks\.txt:1: segment 0 of img0000 is empty"),
     ("repeated-seg-score", "seg_scores.csv", _repeat_line(1), "iterate",
      r"seg_scores\.csv:2: duplicate score for segment 0 of img0000, class 1"),
     ("image-zero-width", "manifest.txt", _replace("img0000 64 64", "img0000 0 64"),
@@ -125,6 +128,8 @@ CASES = [
      "iterate", r"reg\.txt: .*d_reg"),
     ("detections-nan-score", "dets.csv", _set_field(1, 2, "nan"), "eval",
      r"dets\.csv:1: .*non-finite"),
+    ("detections-class-9", "dets.csv", _set_field(1, 1, "9"), "eval",
+     r"dets\.csv:1: detection with invalid class id 9"),
     ("iterate-without-regressor", None, None, "iterate-no-regressor", r"--regressor"),
     ("config-repeated-key", "config.txt", lambda text: text + "epochs 2\n", "iterate",
      r"config\.txt:\d+: .*epochs"),
@@ -152,6 +157,31 @@ def test_bad_input_exits_2_naming_the_file(world, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert re.search(expect, err), err
+
+
+# command -> argv writing its output to `bad`, given the world and a scratch dir
+UNWRITABLE = {
+    "train --out": lambda common, root, tmp, bad: ["train", *common, "--out", bad],
+    "train --log": lambda common, root, tmp, bad: [
+        "train", *common, "--out", str(tmp / "model.txt"), "--log", bad],
+    "detect --out": lambda common, root, tmp, bad: [
+        "detect", *common, "--model", str(root / "model.txt"), "--out", bad],
+    "eval --curves": lambda common, root, tmp, bad: [
+        "eval", *common, "--detections", str(root / "dets.csv"),
+        "--out", str(tmp / "report.csv"), "--curves", bad],
+    "synth --out": lambda common, root, tmp, bad: ["synth", "--out", bad, "--images", "4"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNWRITABLE))
+def test_unwritable_output_exits_2_naming_the_path(world, tmp_path, capsys, command):
+    (tmp_path / "file").write_text("a regular file, not a directory\n")
+    bad = str(tmp_path / "file" / "out")
+    common = ["--manifest", str(world / "manifest.txt"),
+              "--config", str(world / "config.txt")]
+    assert main(UNWRITABLE[command](common, world, tmp_path, bad)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and bad in err, err
 
 
 # (SynthConfig field, synth flag, bad value)

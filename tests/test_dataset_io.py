@@ -88,6 +88,13 @@ def test_masks_bad_rle_positioned(tmp_path):
         read_masks_file(path)
 
 
+def test_masks_too_large_for_int32_counts_positioned(tmp_path):
+    path = tmp_path / "masks.txt"
+    path.write_text("img 0 4 4 0:4\nimg 1 65536 32768 -\n")     # 2**31 pixels
+    with pytest.raises(InputError, match=r"masks\.txt:2: .*65536x32768"):
+        read_masks_file(path)
+
+
 def test_gt_roundtrip(tmp_path):
     gts = [("a", 1, Box(0, 0, 9, 9), False), ("b", 2, Box(1, 1, 5, 5), True)]
     path = tmp_path / "gt.csv"

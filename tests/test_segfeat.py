@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from segdetect.boxes import Box
+from segdetect.boxes import Box, iou
 from segdetect.errors import DegenerateNormalizer, EmptySegment
-from segdetect.masks import SegmentMask
+from segdetect.masks import SegmentMask, rect_count, tight_box
 from segdetect.segfeat import (GridSpec, assemble_block, back_out, backgrid_in,
                                block_length, grid_cells, overlap_feat,
                                seg_out, segclass_feat, seggrid_in)
@@ -250,11 +250,54 @@ def test_segclass_monotone_bounded():
     assert all(a < b for a, b in zip(ys, ys[1:]))
 
 
-def test_assemble_none_is_zero():
-    for k in (1, 2, 3):
-        block = assemble_block(Box(0, 0, 3, 3), None, 0.0, GridSpec(k), -0.7, 100)
-        assert block.shape == (2 * k * k + 4,)
-        assert not block.any()
+def reference_block(box, mask, class_score, k, lam, m):
+    """Each feature on its own: rect_count per rectangle, clipped area, int / int."""
+    table, n = mask.integral(), mask.pixel_count
+    denom = max(m - n, 1)
+
+    def area(x1, y1, x2, y2):
+        x1, y1 = max(x1, 0), max(y1, 0)
+        x2, y2 = min(x2, mask.width - 1), min(y2, mask.height - 1)
+        return 0 if x1 > x2 or y1 > y2 else (x2 - x1 + 1) * (y2 - y1 + 1)
+
+    cells = grid_cells(box, GridSpec(k))
+    whole = box.rounded()
+    outside = n - rect_count(table, *whole)
+    return ([rect_count(table, *cell) / n for cell in cells]
+            + [outside / n]
+            + [(area(*cell) - rect_count(table, *cell)) / denom for cell in cells]
+            + [(mask.height * mask.width - area(*whole) - outside) / denom]
+            + [iou(box, tight_box(mask)) - lam, segclass_feat(class_score)])
+
+
+def test_assemble_block_is_bit_identical_to_per_feature_reference():
+    rng = np.random.default_rng(41)
+    checked = 0
+    for _ in range(60):
+        h, w = (int(v) for v in rng.integers(3, 20, 2))
+        arr = rng.random((h, w)) < rng.uniform(0.05, 0.9)
+        if not arr.any():
+            continue
+        mask = SegmentMask.from_array(arr)
+        n = int(arr.sum())
+        for m in (n, n + int(rng.integers(1, 3 * h * w))):    # m == |S|: denominator 1
+            boxes = [Box(0, 0, w - 1, h - 1),                  # the whole image
+                     Box(w - 1.5, 0, w - 0.5, h - 0.5),        # rounds onto the border
+                     Box(-0.4, -0.4, 0.4, h - 1),              # one column wide
+                     Box(0, h - 1, w - 1, h - 1)]              # one row high
+            for _ in range(6):
+                x1, x2 = np.sort(rng.uniform(-0.49, w - 0.51, 2))
+                y1, y2 = np.sort(rng.uniform(-0.49, h - 0.51, 2))
+                boxes.append(Box(float(x1), float(y1), float(x2), float(y2)))
+            for box in boxes:
+                score = float(rng.normal(0, 3))
+                lam = float(rng.uniform(-1, 1))
+                for k in (1, 2, 3):
+                    block = assemble_block(box, mask, score, GridSpec(k), lam, m)
+                    expect = np.array(reference_block(box, mask, score, k, lam, m))
+                    assert block.tobytes() == expect.tobytes(), (box, k, m)
+                    checked += 1
+    assert checked > 1000
 
 
 def test_assemble_matches_components():
