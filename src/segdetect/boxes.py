@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 def round_half_away(x: float) -> int:
     """Round to nearest integer, halves away from zero."""
@@ -52,6 +54,25 @@ def iou(a: Box, b: Box) -> float:
     union = ((ax2 - ax1 + 1) * (ay2 - ay1 + 1)
              + (bx2 - bx1 + 1) * (by2 - by1 + 1) - inter)
     return inter / union
+
+
+def rounded_corners(boxes) -> np.ndarray:
+    """(n, 4) int64 array of the boxes' rounded (x1, y1, x2, y2)."""
+    return np.array([b.rounded() for b in boxes], dtype=np.int64).reshape(-1, 4)
+
+
+def iou_row(corner, corners) -> np.ndarray:
+    """`iou` of one rounded box against each row of `corners`, bit for bit.
+
+    The integer intersection and union are below 2**53, so float64 division
+    rounds their quotient correctly, as Python's int / int does.
+    """
+    x1, y1, x2, y2 = corner
+    iw = np.minimum(corners[:, 2], x2) - np.maximum(corners[:, 0], x1) + 1
+    ih = np.minimum(corners[:, 3], y2) - np.maximum(corners[:, 1], y1) + 1
+    inter = np.maximum(iw, 0) * np.maximum(ih, 0)
+    areas = (corners[:, 2] - corners[:, 0] + 1) * (corners[:, 3] - corners[:, 1] + 1)
+    return inter / (areas + (x2 - x1 + 1) * (y2 - y1 + 1) - inter)
 
 
 def clip_box(b: Box, width: int, height: int) -> Box:

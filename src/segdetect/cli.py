@@ -6,12 +6,14 @@ Exit codes: 0 success, 2 input error (bad file/flag) or unwritable output, 3 num
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
 
 from .bboxreg import (BoxRegressor, ClassRegressor, collect_training_pairs,
                       fit_regressor, iterate_boxes)
+from .boxes import iou_row, rounded_corners
 from .config import Config, load_config
 from .dataset import Dataset, finite, read_blocks, read_manifest
 from .errors import InputError, NumericalError, SegDetectError
@@ -69,7 +71,22 @@ def cmd_featdump(args):
     return 0
 
 
+def _require_output_dir(path):
+    """Fail before any work unless `path` names a file in an existing directory.
+
+    Nothing is created or truncated here.
+    """
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise InputError(f"cannot write {path}: no directory {parent}")
+    if os.path.isdir(path):
+        raise InputError(f"cannot write {path}: it is a directory")
+
+
 def cmd_train(args):
+    for path in (args.out, args.log):
+        if path:
+            _require_output_dir(path)
     cfg = _load_config(args.config)
     dataset = _load_dataset(args.manifest, cfg)
     result = train(dataset, cfg, use_seg=not args.no_seg)
@@ -141,15 +158,20 @@ def _load_model_for(path, dataset):
 
 
 def _nearest_box_provider(dataset):
-    """Precomputed-feature lookup with nearest-box fallback."""
-    from .boxes import iou as box_iou
+    """Precomputed-feature lookup with nearest-box fallback.
+
+    The features are those of the image's box with the highest IoU; the
+    first such box wins a tie.
+    """
+    corners = {}    # image id -> its boxes' rounded corners, computed once
 
     def provider(image_id, box):
         rec = dataset.record(image_id)
         if not rec.boxes:
             raise KeyError(image_id)
-        best = max(range(len(rec.boxes)),
-                   key=lambda i: box_iou(box, rec.boxes[i]))
+        if image_id not in corners:
+            corners[image_id] = rounded_corners(rec.boxes)
+        best = int(iou_row(box.rounded(), corners[image_id]).argmax())
         row = rec.rows[best]
         return (dataset.appearance[row], dataset.context[row],
                 dataset.regression[row])

@@ -3,7 +3,7 @@
 The energy of a box is a linear appearance term, a linear context term, and a
 sum over classes of segment-choice contributions.  The segment variables are
 independent across classes, so maximizing each class on its own is exact.
-`score_box` is the one place that chooses segments.
+`score_boxes` is the one place that chooses segments.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import Box, iou
+from .boxes import Box, iou_row, rounded_corners
 from .dataset import finite, read_blocks, read_records, valid_class_id
 from .errors import InputError
 from .segfeat import GridSpec, assemble_block, block_length, segclass_feat
@@ -156,19 +156,8 @@ def build_bundle(dataset, image_id, grid_k, lam) -> FeatureBundle:
         sigmoid_scores=sig, segments=list(rec.masks), largest_area=m_area)
 
 
-def segment_contributions(bundle: FeatureBundle, weights: ModelWeights,
-                          detector, box_index) -> np.ndarray:
-    """(n_segs, C) matrix of per-class contributions for one box."""
-    base = bundle.seg_base[box_index]            # (n_segs, L)
-    out = np.empty((bundle.n_segs, weights.n_classes))
-    for c in range(1, weights.n_classes + 1):
-        w = weights.seg_block(detector, c)
-        out[:, c - 1] = base[:, :-1] @ w[:-1] + w[-1] * bundle.sigmoid_scores[:, c - 1]
-    return out
-
-
 def select_segment(contribs_for_class, seg_ids):
-    """Reference for score_box's choice, kept for the tests.
+    """Reference for score_boxes' choice, kept for the tests.
 
     Argmax over {none} + segments; ties prefer none, then lowest segment id.
     Returns (segment_id or None, contribution). The no-segment choice
@@ -184,26 +173,49 @@ def select_segment(contribs_for_class, seg_ids):
     return best_id, best
 
 
-def score_box(bundle: FeatureBundle, weights: ModelWeights, detector, box_index):
-    """Greedy-exact energy of one box under detector `detector` (1-based).
+def score_boxes(bundle: FeatureBundle, weights: ModelWeights, detector,
+                box_indices=None):
+    """Greedy-exact energies of many boxes under detector `detector` (1-based).
 
-    Every class takes the argmax over {none} + segments at once.  None is
-    worth exactly 0.0 and comes first, and segments are in ascending id
-    order, so ties prefer none, then the lowest segment id.
-    Returns (score, chosen_segments) where chosen_segments has one entry per
-    segment-choice class (None = no segment).
+    box_indices: the boxes to score, in any order (default: every box).
+    Each class takes the argmax over {none} + segments.  None is worth
+    exactly 0.0 and comes first, and segments are in ascending id order, so
+    ties prefer none, then the lowest segment id.  The gains are added to
+    the linear score one class at a time, in class order.
+    Returns (scores, chosen): one float per box, and per box one segment id
+    (None = no segment) per segment-choice class.
     """
     d = detector - 1
-    score = float(bundle.appearance[box_index] @ weights.w_app[d]
-                  + bundle.context[box_index] @ weights.w_ctx[d]
-                  + weights.bias[d])
-    options = np.vstack([np.zeros(weights.n_classes),
-                         segment_contributions(bundle, weights, detector, box_index)])
-    best = options.argmax(axis=0)
-    for gain in options[best, np.arange(weights.n_classes)].tolist():
-        score += gain       # one class at a time, in class order
-    ids = [NONE_SEGMENT, *bundle.seg_ids]
-    return score, [ids[s] for s in best.tolist()]
+    if box_indices is None:
+        box_indices = range(bundle.n_boxes)
+        base = bundle.seg_base[:, :, :-1]            # a view: no copy
+    else:
+        box_indices = list(box_indices)
+        base = bundle.seg_base[box_indices, :, :-1]
+    app, ctx = bundle.appearance, bundle.context
+    w_app, w_ctx, bias = weights.w_app[d], weights.w_ctx[d], weights.bias[d]
+    # one 1-D dot per box: a batched product rounds differently
+    scores = np.array([app[b] @ w_app + ctx[b] @ w_ctx + bias for b in box_indices],
+                      dtype=np.float64)
+    rows = np.arange(len(scores))
+    options = np.zeros((len(scores), bundle.n_segs + 1))     # column 0: none
+    w_blocks = weights.w_seg[d].reshape(weights.n_classes, -1)
+    class_terms = (bundle.sigmoid_scores * w_blocks[:, -1]).T  # (C, n_segs)
+    picks = []
+    for w, terms in zip(w_blocks[:, :-1], class_terms):
+        # per box, the same gemv as on that box's (n_segs, L - 1) block alone
+        np.add(base @ w, terms, out=options[:, 1:])
+        pick = options.argmax(axis=1)
+        scores += options[rows, pick]
+        picks.append(pick)
+    ids = np.array([NONE_SEGMENT, *bundle.seg_ids], dtype=object)
+    return scores.tolist(), ids[np.array(picks).T].tolist()
+
+
+def score_box(bundle: FeatureBundle, weights: ModelWeights, detector, box_index):
+    """score_boxes for one box: (score, chosen_segments)."""
+    scores, chosen = score_boxes(bundle, weights, detector, [box_index])
+    return scores[0], chosen[0]
 
 
 @dataclass
@@ -219,10 +231,13 @@ class Detection:
 def nms(boxes, scores, box_ids, iou_thresh):
     """Greedy suppression; returns kept indices, higher score (then lower id) first."""
     order = sorted(range(len(boxes)), key=lambda i: (-scores[i], box_ids[i]))
+    corners = rounded_corners(boxes)
+    suppressed = np.zeros(len(boxes), dtype=bool)
     kept = []
     for i in order:
-        if all(iou(boxes[i], boxes[j]) <= iou_thresh for j in kept):
+        if not suppressed[i]:
             kept.append(i)
+            suppressed |= iou_row(corners[i], corners) > iou_thresh
     return kept
 
 
@@ -231,14 +246,12 @@ def detect_image(bundle: FeatureBundle, weights: ModelWeights,
     """Score every box with every detector, then per-class NMS."""
     detections = []
     for detector in range(1, weights.n_classes + 1):
-        scored = [score_box(bundle, weights, detector, b)
-                  for b in range(bundle.n_boxes)]
-        scores = [s for s, _ in scored]
+        scores, chosen = score_boxes(bundle, weights, detector)
         kept = nms(bundle.boxes, scores, bundle.box_ids, nms_iou)[:top_k]
         for i in kept:
             detections.append(Detection(
                 bundle.image_id, detector, bundle.box_ids[i], bundle.boxes[i],
-                scores[i], scored[i][1]))
+                scores[i], chosen[i]))
     return detections
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .boxes import iou
 from .errors import DivergedError
 from .masks import tight_box
-from .model import FeatureBundle, ModelWeights, build_bundle, score_box
+from .model import FeatureBundle, ModelWeights, build_bundle, score_box, score_boxes
 
 log = logging.getLogger(__name__)
 
@@ -151,19 +151,22 @@ def sgd_fit(X, y, w0, cfg: SgdConfig):
 def mine_hard_negatives(scored_negatives, cap):
     """Keep the top-cap margin-violating negatives (score > -1), deduplicated.
 
-    scored_negatives: iterable of (score, image_id, box_id, feature_row).
+    scored_negatives: iterable of (score, image_id, box_id, payload).  The
+    payload rides along untouched and is never compared, so callers can pass
+    what they need to build a kept negative's feature row afterwards.
+    Ties in score are broken by (image_id, box_id).
     Mining soundness: everything kept scores at least as high as anything
     scored but dropped.
     """
     seen = set()
     unique = []
-    for score, image_id, box_id, feat in scored_negatives:
+    for score, image_id, box_id, payload in scored_negatives:
         key = (image_id, box_id)
         if key in seen:
             continue
         seen.add(key)
         if score > -1.0:
-            unique.append((score, image_id, box_id, feat))
+            unique.append((score, image_id, box_id, payload))
     unique.sort(key=lambda t: (-t[0], t[1], t[2]))
     return unique[:cap]
 
@@ -217,8 +220,10 @@ def train_class(bundles, labels_per_image, weights: ModelWeights, detector,
     """Run the two-step outer loop for one detector class in place.
 
     bundles: list of FeatureBundle; labels_per_image: matching +1/-1/0 arrays.
+    Negatives are scored one image at a time and mined before their feature
+    rows are built, so rows exist only for the kept ones.
     Without use_seg the positives start at no segment.  With w_seg at zero,
-    score_box then picks no segment anywhere, every segment column of the
+    scoring then picks no segment anywhere, every segment column of the
     cache is zero and SGD leaves w_seg at exactly zero.
     Returns the per-round logs, or None when the class has no positives.
     """
@@ -226,8 +231,8 @@ def train_class(bundles, labels_per_image, weights: ModelWeights, detector,
     n_classes = weights.n_classes
     positives = [(i, b) for i, labels in enumerate(labels_per_image)
                  for b in np.flatnonzero(labels == 1)]
-    negatives = [(i, b) for i, labels in enumerate(labels_per_image)
-                 for b in np.flatnonzero(labels == -1)]
+    negatives = [(i, np.flatnonzero(labels == -1))
+                 for i, labels in enumerate(labels_per_image)]
     if not positives:
         return None
     latent = {key: init_latent(bundles[key[0]], key[1], n_classes) if use_seg
@@ -243,13 +248,14 @@ def train_class(bundles, labels_per_image, weights: ModelWeights, detector,
         pos_rows = [_instance_row(bundles[i], b, latent[(i, b)], L)
                     for i, b in positives]
         scored = []
-        for i, b in negatives:
+        for i, boxes in negatives:
             bundle = bundles[i]
-            score, h = score_box(bundle, weights, detector, b)
-            scored.append((score, bundle.image_id, bundle.box_ids[b],
-                           _instance_row(bundle, b, h, L)))
+            scores, chosen = score_boxes(bundle, weights, detector, boxes)
+            scored.extend((score, bundle.image_id, bundle.box_ids[b], (i, b, h))
+                          for score, b, h in zip(scores, boxes, chosen))
         mined = mine_hard_negatives(scored, cfg.neg_cache_cap)
-        X = np.array(pos_rows + [feat for _, _, _, feat in mined])
+        neg_rows = [_instance_row(bundles[i], b, h, L) for _, _, _, (i, b, h) in mined]
+        X = np.array(pos_rows + neg_rows)
         y = np.array([1.0] * len(pos_rows) + [-1.0] * len(mined))
         sgd_cfg = SgdConfig(c_reg=cfg.c_reg, eta0=cfg.eta0, decay=cfg.decay,
                             epochs=cfg.epochs, batch_size=cfg.batch_size,

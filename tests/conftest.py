@@ -34,6 +34,20 @@ def make_bundle(image_id, width, height, boxes, masks, raw_scores,
         sigmoid_scores=sig, segments=list(masks), largest_area=m)
 
 
+def segment_contributions(bundle, weights, detector, box_index):
+    """(n_segs, C) matrix of per-class contributions for one box.
+
+    The per-box oracle for the segment term: one (n_segs, L - 1) product
+    per class on this box's block alone.
+    """
+    base = bundle.seg_base[box_index]            # (n_segs, L)
+    out = np.empty((bundle.n_segs, weights.n_classes))
+    for c in range(1, weights.n_classes + 1):
+        w = weights.seg_block(detector, c)
+        out[:, c - 1] = base[:, :-1] @ w[:-1] + w[-1] * bundle.sigmoid_scores[:, c - 1]
+    return out
+
+
 def random_masks(rng, n_segs, width, height):
     masks = []
     for s in range(n_segs):

@@ -184,6 +184,35 @@ def test_unwritable_output_exits_2_naming_the_path(world, tmp_path, capsys, comm
     assert err.startswith("error: ") and bad in err, err
 
 
+# where --out or --log points, given a scratch dir holding a regular file "file"
+UNUSABLE_OUTPUT = {
+    "under-a-file": lambda tmp: tmp / "file" / "out",
+    "missing-directory": lambda tmp: tmp / "nowhere" / "out",
+    "a-directory": lambda tmp: tmp,
+}
+
+
+@pytest.mark.parametrize("flag", ["--out", "--log"])
+@pytest.mark.parametrize("where", sorted(UNUSABLE_OUTPUT))
+def test_train_checks_outputs_before_training(world, tmp_path, capsys, monkeypatch,
+                                              flag, where):
+    def never(*args, **kwargs):
+        raise AssertionError("train ran before its outputs were checked")
+
+    monkeypatch.setattr("segdetect.cli.train", never)
+    (tmp_path / "file").write_text("a regular file, not a directory\n")
+    bad = str(UNUSABLE_OUTPUT[where](tmp_path))
+    paths = {"--out": str(tmp_path / "model.txt"), "--log": str(tmp_path / "log.csv"),
+             flag: bad}
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["train", "--manifest", str(world / "manifest.txt"),
+                 "--config", str(world / "config.txt"),
+                 "--out", paths["--out"], "--log", paths["--log"]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and bad in err, err
+    assert sorted(tmp_path.rglob("*")) == before     # nothing created
+
+
 # (SynthConfig field, synth flag, bad value)
 BAD_SYNTH = [("width", "--width", "5"), ("height", "--height", "5"),
              ("n_classes", "--classes", "0"), ("d_app", "--dapp", "0"),

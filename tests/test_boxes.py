@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from segdetect.boxes import Box, clip_box, expand_box, iou, round_half_away
+from segdetect.boxes import (Box, clip_box, expand_box, iou, iou_row,
+                             round_half_away, rounded_corners)
 
 
 def test_round_half_away():
@@ -40,6 +41,17 @@ def test_iou_symmetric_random():
         b = Box(x1, y1, x1 + rng.uniform(0, 30), y1 + rng.uniform(0, 30))
         assert iou(a, b) == iou(b, a)
         assert 0.0 <= iou(a, b) <= 1.0
+
+
+def test_iou_row_equals_iou_bit_for_bit():
+    rng = np.random.default_rng(5)
+    coords = rng.integers(-8, 60, (80, 4)) / 2     # halves round away from zero
+    boxes = [Box(min(a, c), min(b, d), max(a, c), max(b, d)) for a, b, c, d in coords]
+    corners = rounded_corners(boxes)
+    assert corners.dtype == np.int64 and corners.shape == (80, 4)
+    for a in boxes:
+        assert iou_row(a.rounded(), corners).tolist() == [iou(a, b) for b in boxes]
+    assert rounded_corners([]).shape == (0, 4)
 
 
 def test_expand_identity_at_zero():

@@ -1,8 +1,11 @@
 import os
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from segdetect.cli import main
+from segdetect.boxes import Box, iou
+from segdetect.cli import _nearest_box_provider, main
 
 
 @pytest.fixture(scope="module")
@@ -87,3 +90,27 @@ def test_bad_config_exit_2(workdir, tmp_path):
 
 def test_bad_flag_exit_2():
     assert main(["synth", "--no-such-flag"]) == 2
+
+
+def test_nearest_box_provider_matches_python_max_on_ties():
+    rng = np.random.default_rng(8)
+    boxes = [Box(0, 0, 9, 9), Box(20, 0, 29, 9), Box(0, 0, 9, 9), Box(10, 0, 19, 9),
+             Box(4.5, 2, 13.5, 11)]
+    record = SimpleNamespace(boxes=boxes, rows=[40, 30, 20, 10, 0])
+    features = np.arange(50.0)[:, None]
+    dataset = SimpleNamespace(record=lambda image_id: record, appearance=features,
+                              context=-features, regression=2 * features)
+    provider = _nearest_box_provider(dataset)
+    queries = [Box(0, 0, 9, 9),        # ties boxes 0 and 2
+               Box(15, 0, 24, 9),      # ties boxes 1 and 3
+               Box(40, 40, 49, 49)]    # overlaps none: every IoU is 0
+    queries += [Box(x, y, x + w, y + h) for x, y, w, h in rng.uniform(0, 25, (40, 4))]
+    for query in queries:
+        best = max(range(len(boxes)), key=lambda i: iou(query, boxes[i]))
+        row = record.rows[best]
+        app, ctx, reg = provider("img", query)
+        assert (app[0], ctx[0], reg[0]) == (row, -row, 2 * row)
+    assert provider("img", queries[1])[0][0] == 30
+    record.boxes = []
+    with pytest.raises(KeyError):
+        provider("img", queries[0])

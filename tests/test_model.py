@@ -3,14 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import make_bundle, random_boxes, random_masks
+from conftest import make_bundle, random_boxes, random_masks, segment_contributions
 from segdetect.boxes import Box
 from segdetect.errors import InputError
 from segdetect.masks import SegmentMask
 from segdetect.model import (Detection, ModelWeights, detect_image, load_model,
                              nms, read_detections, save_model, score_box,
-                             segment_contributions, select_segment,
-                             write_detections)
+                             score_boxes, select_segment, write_detections)
 from segdetect.segfeat import GridSpec, assemble_block, block_length
 
 
@@ -176,6 +175,32 @@ def test_score_box_matches_select_segment_reference_exactly(rng):
     assert score_box(zero_bundle, cases[-1][1], 2, 1) == (0.0, [None, None, None])
 
 
+def test_score_boxes_equals_per_box_scoring_exactly(rng):
+    cases = [random_instance(rng, int(rng.integers(1, 5)), int(rng.integers(0, 7)),
+                             n_boxes=int(rng.integers(1, 9)),
+                             grid_k=int(rng.integers(1, 4)))
+             for _ in range(30)]
+    no_boxes = random_instance(rng, 2, 3, n_boxes=0)
+    zero_bundle, _ = random_instance(rng, 3, 4, n_boxes=4)
+    zero_weights = ModelWeights.zeros(3, 2, -0.7, 4, 3)
+    cases += [random_instance(rng, 3, 0, n_boxes=5),     # no segments
+              no_boxes, tie_instance(rng), (zero_bundle, zero_weights)]
+    for bundle, weights in cases:
+        n = bundle.n_boxes
+        subsets = [None, list(range(n - 1, -1, -2)),
+                   [int(b) for b in rng.permutation(n)[:n // 2 + 1]]]
+        for detector in range(1, weights.n_classes + 1):
+            per_box = [score_box(bundle, weights, detector, b) for b in range(n)]
+            assert per_box == [reference_score(bundle, weights, detector, b)
+                               for b in range(n)]
+            for subset in subsets:
+                expected = per_box if subset is None else [per_box[b] for b in subset]
+                scores, chosen = score_boxes(bundle, weights, detector, subset)
+                assert list(zip(scores, chosen)) == expected
+    assert score_boxes(*no_boxes, 1) == ([], [])
+    assert score_boxes(zero_bundle, zero_weights, 3) == ([0.0] * 4, [[None] * 3] * 4)
+
+
 def test_build_bundle_decodes_each_mask_at_most_twice(tmp_path, monkeypatch):
     from segdetect.dataset import Dataset, read_manifest
     from segdetect.model import build_bundle
@@ -229,6 +254,19 @@ def test_nms_matches_quadratic_reference(rng):
         scores = list(rng.normal(0, 1, 50))
         ids = list(range(50))
         assert nms(boxes, scores, ids, 0.3) == quadratic_nms(boxes, scores, ids, 0.3)
+
+
+@pytest.mark.parametrize("thresh", [0.0, 0.3, 1.0])
+def test_nms_matches_quadratic_reference_on_ties(rng, thresh):
+    for _ in range(10):
+        boxes = random_boxes(rng, 30, 20, 20)
+        boxes += boxes[:6]                                   # identical boxes
+        boxes += [Box(b.x1 + 0.5, b.y1, b.x2 + 0.5, b.y2 - 0.5)
+                  for b in boxes[6:12] if b.y2 - 0.5 >= b.y1]   # rounding halves
+        scores = [float(v) for v in rng.integers(0, 3, len(boxes))]   # equal scores
+        ids = [int(i) for i in rng.permutation(len(boxes))]
+        assert nms(boxes, scores, ids, thresh) == quadratic_nms(boxes, scores, ids, thresh)
+    assert nms([], [], [], thresh) == []
 
 
 def test_nms_order_independent(rng):

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import make_bundle, random_boxes, random_masks
+from conftest import make_bundle, random_boxes, random_masks, segment_contributions
 from segdetect.boxes import Box
 from segdetect.masks import SegmentMask, tight_box
 from segdetect.model import ModelWeights, score_box
@@ -82,7 +82,6 @@ def test_relabel_matches_per_class_enumeration(rng):
         for b in range(2):
             latent = relabel_positives(bundle, weights, 1, b)
             # brute force each class separately
-            from segdetect.model import segment_contributions
             contribs = segment_contributions(bundle, weights, 1, b)
             for c in range(2):
                 best_val, best_id = 0.0, None
@@ -200,3 +199,32 @@ def test_no_seg_training_keeps_seg_weights_at_plus_zero(tmp_path):
     assert not np.signbit(result.weights.w_seg).any()
     assert all(r.num_latent_changed == 0 for r in result.rounds)
     assert np.any(result.weights.w_app != 0.0)
+
+
+def test_train_builds_rows_only_for_kept_negatives(tmp_path, monkeypatch):
+    from segdetect import training
+    from segdetect.config import load_config
+    from segdetect.dataset import Dataset, read_manifest
+    from segdetect.synth import SynthConfig, generate
+    generate(SynthConfig(seed=4, n_images=8, boxes_per_image=12, feature_noise=1.0),
+             str(tmp_path))
+    cfg = load_config(tmp_path / "config.txt")
+    cfg.neg_cache_cap = 5
+    dataset = Dataset(read_manifest(tmp_path / "manifest.txt"),
+                      min_segment_pixels=cfg.min_segment_pixels)
+    built, fitted = [], []
+    instance_row, sgd = training._instance_row, training.sgd_fit
+
+    def counted_row(*args):
+        built.append(args[1])
+        return instance_row(*args)
+
+    def counted_sgd(X, *args):
+        fitted.append(len(X))
+        return sgd(X, *args)
+
+    monkeypatch.setattr(training, "_instance_row", counted_row)
+    monkeypatch.setattr(training, "sgd_fit", counted_sgd)
+    result = training.train(dataset, cfg)
+    assert result.rounds and all(r.num_hard_negs == 5 for r in result.rounds)
+    assert len(built) == sum(fitted)
