@@ -3,18 +3,19 @@
 Targets use the usual center/size parameterization: normalized center shifts
 and log size ratios between proposal and ground truth.  Features for moved
 boxes are re-extracted only when the box changed by more than the threshold
-(1 - IoU), which is the expensive part on real features.
+(1 - IoU), which is the expensive part on real features.  Segment blocks
+are rebuilt once, after the last pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .boxes import Box, clip_box, iou
 from .errors import InputError, InsufficientPairs, ProviderError
-from .model import Detection, score_box
+from .model import Detection, score_box, segment_blocks
 
 
 def regression_targets(proposal: Box, gt: Box):
@@ -118,56 +119,44 @@ def iterate_boxes(bundle, regressor: BoxRegressor, weights, detector,
     """Alternate regression and rescoring for one image and one detector class.
 
     reg_features: (n_boxes, d_reg) rows aligned with bundle boxes.
+    Up to max_iters passes move every box with the regressor.
     feature_provider(image_id, box) -> (app_row, ctx_row, reg_row) is called
-    only for boxes whose change exceeds change_thresh; segment kernels are
-    cheap and are recomputed for every moved box.
-    Returns (detections, stats).
+    only for boxes whose change exceeds change_thresh.  The passes never read
+    segment blocks, so after them the blocks are rebuilt once, only for the
+    boxes whose rounded corners moved: a block depends on nothing else.
+    The input bundle is not modified.  Returns (detections, stats).
     """
-    from .segfeat import GridSpec, assemble_block
-
-    bundle = _copy_bundle(bundle)
+    boxes = list(bundle.boxes)
+    appearance, context = bundle.appearance.copy(), bundle.context.copy()
     reg_rows = np.array(reg_features, dtype=np.float64)
     stats = IterationStats()
-    grid = GridSpec(weights.grid_k)
     for _ in range(max_iters):
         changed = 0
-        for b in range(bundle.n_boxes):
-            new_box = regressor.refine(detector, reg_rows[b], bundle.boxes[b],
+        for b, box in enumerate(boxes):
+            new_box = regressor.refine(detector, reg_rows[b], box,
                                        bundle.width, bundle.height)
-            change = box_change(bundle.boxes[b], new_box)
-            moved = change > change_thresh
-            if moved:
+            if box_change(box, new_box) > change_thresh:
                 changed += 1
                 try:
                     app, ctx, reg = feature_provider(bundle.image_id, new_box)
                 except KeyError:
                     raise ProviderError(bundle.image_id, new_box) from None
                 stats.provider_calls += 1
-                bundle.appearance[b] = app
-                bundle.context[b] = ctx
-                reg_rows[b] = reg
-            if bundle.boxes[b].rounded() != new_box.rounded():
-                for s, mask in enumerate(bundle.segments):
-                    bundle.seg_base[b, s] = assemble_block(
-                        new_box, mask, 0.0, grid, weights.lam, bundle.largest_area)
-            bundle.boxes[b] = new_box
-        stats.changed_fraction.append(
-            changed / bundle.n_boxes if bundle.n_boxes else 0.0)
+                appearance[b], context[b], reg_rows[b] = app, ctx, reg
+            boxes[b] = new_box
+        stats.changed_fraction.append(changed / len(boxes) if boxes else 0.0)
         if changed == 0:
             break
+    moved = [b for b, box in enumerate(boxes)
+             if box.rounded() != bundle.boxes[b].rounded()]
+    seg_base = bundle.seg_base.copy()
+    seg_base[moved] = segment_blocks([boxes[b] for b in moved], bundle.segments,
+                                     weights.grid_k, weights.lam, bundle.largest_area)
+    refined = replace(bundle, boxes=boxes, appearance=appearance, context=context,
+                      seg_base=seg_base)
     detections = []
-    for b in range(bundle.n_boxes):
-        score, chosen = score_box(bundle, weights, detector, b)
+    for b, box in enumerate(boxes):
+        score, chosen = score_box(refined, weights, detector, b)
         detections.append(Detection(bundle.image_id, detector, bundle.box_ids[b],
-                                    bundle.boxes[b], score, chosen))
+                                    box, score, chosen))
     return detections, stats
-
-
-def _copy_bundle(bundle):
-    from copy import copy
-    fresh = copy(bundle)
-    fresh.boxes = list(bundle.boxes)
-    fresh.appearance = bundle.appearance.copy()
-    fresh.context = bundle.context.copy()
-    fresh.seg_base = bundle.seg_base.copy()
-    return fresh

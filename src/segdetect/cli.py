@@ -65,7 +65,7 @@ def cmd_featdump(args):
                     for c in range(dataset.n_classes):
                         block = base.copy()
                         block[-1] = bundle.sigmoid_scores[s, c]
-                        vals = ";".join(repr(v) for v in block)
+                        vals = ";".join(repr(float(v)) for v in block)
                         f.write(f"{image_id},{box_id},{seg_id},{c + 1},{vals}\n")
     print(f"feature dump written to {args.out}")
     return 0

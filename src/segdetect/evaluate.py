@@ -55,8 +55,6 @@ class PRCurve:
     recall: np.ndarray
     precision: np.ndarray
     n_gt: int
-    n_tp: int
-    n_fp: int
 
 
 def pr_curve(flags, n_gt) -> PRCurve:
@@ -66,9 +64,7 @@ def pr_curve(flags, n_gt) -> PRCurve:
     fp = np.cumsum([1 if f == FP else 0 for f in kept])
     recall = tp / n_gt if n_gt > 0 else np.zeros(len(kept))
     precision = tp / np.maximum(tp + fp, 1)
-    return PRCurve(recall, precision, n_gt,
-                   int(tp[-1]) if len(kept) else 0,
-                   int(fp[-1]) if len(kept) else 0)
+    return PRCurve(recall, precision, n_gt)
 
 
 def average_precision(curve: PRCurve, eleven_point=False) -> float:

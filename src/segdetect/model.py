@@ -131,28 +131,36 @@ class FeatureBundle:
         return len(self.seg_ids)
 
 
+def segment_blocks(boxes, masks, grid_k, lam, m) -> np.ndarray:
+    """(n_boxes, n_segs, L) class-independent blocks, segclass slot 0.
+
+    The one block-extraction loop: build_bundle runs it on every box, and
+    iterate_boxes on the boxes it moved.  m is the largest segment's area.
+    """
+    grid = GridSpec(grid_k)
+    out = np.zeros((len(boxes), len(masks), block_length(grid_k)))
+    for s, mask in enumerate(masks):
+        for b, box in enumerate(boxes):
+            out[b, s] = assemble_block(box, mask, 0.0, grid, lam, m)
+    return out
+
+
 def build_bundle(dataset, image_id, grid_k, lam) -> FeatureBundle:
     rec = dataset.record(image_id)
-    L = block_length(grid_k)
-    grid = GridSpec(grid_k)
-    n_boxes = len(rec.boxes)
-    n_segs = len(rec.masks)
-    seg_base = np.zeros((n_boxes, n_segs, L))
-    sig = np.zeros((n_segs, dataset.n_classes))
+    sig = np.zeros((len(rec.masks), dataset.n_classes))
     m_area = largest_segment_area(rec.masks) if rec.masks else 0
     for s, mask in enumerate(rec.masks):
         for c in range(dataset.n_classes):
             sig[s, c] = segclass_feat(
                 dataset.seg_scores[(image_id, mask.segment_id, c + 1)])
-        for b, box in enumerate(rec.boxes):
-            seg_base[b, s] = assemble_block(box, mask, 0.0, grid, lam, m_area)
     rows = np.asarray(rec.rows, dtype=int)
     return FeatureBundle(
         image_id=image_id, width=rec.width, height=rec.height,
         box_ids=list(rec.box_ids), boxes=list(rec.boxes),
-        appearance=dataset.appearance[rows] if n_boxes else dataset.appearance[:0],
-        context=dataset.context[rows] if n_boxes else dataset.context[:0],
-        seg_ids=[m.segment_id for m in rec.masks], seg_base=seg_base,
+        appearance=dataset.appearance[rows] if rec.boxes else dataset.appearance[:0],
+        context=dataset.context[rows] if rec.boxes else dataset.context[:0],
+        seg_ids=[m.segment_id for m in rec.masks],
+        seg_base=segment_blocks(rec.boxes, rec.masks, grid_k, lam, m_area),
         sigmoid_scores=sig, segments=list(rec.masks), largest_area=m_area)
 
 

@@ -83,25 +83,16 @@ def seg_feature_vector(bundle: FeatureBundle, box_index, latent, L):
     return out
 
 
-@dataclass
-class SgdConfig:
-    c_reg: float = 1e-2
-    eta0: float = 1e-3
-    decay: float = 1e-4
-    epochs: int = 10
-    batch_size: int = 32
-    seed: int = 0
-
-
 def hinge_objective(w, X, y, c_reg):
     """||w||^2 + C * sum hinge; the trailing (bias) weight is not regularized."""
     margins = 1.0 - y * (X @ w)
     return float(w[:-1] @ w[:-1] + c_reg * np.sum(np.maximum(margins, 0.0)))
 
 
-def sgd_fit(X, y, w0, cfg: SgdConfig):
+def sgd_fit(X, y, w0, cfg, seed):
     """Minibatch subgradient descent on the cached hinge problem.
 
+    Reads c_reg, eta0, decay, epochs and batch_size from the Config cfg.
     Deterministic given the seed.  Steps are diagonally preconditioned by the
     squared per-column scale of the cache, so coordinates with very large
     feature magnitudes (the degenerate background normalizer can reach image
@@ -114,7 +105,7 @@ def sgd_fit(X, y, w0, cfg: SgdConfig):
     y = np.asarray(y, dtype=np.float64)
     n = X.shape[0]
     w = np.array(w0, dtype=np.float64)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     initial = hinge_objective(w, X, y, cfg.c_reg)
     trace = [initial]
     best_obj = initial
@@ -257,10 +248,8 @@ def train_class(bundles, labels_per_image, weights: ModelWeights, detector,
         neg_rows = [_instance_row(bundles[i], b, h, L) for _, _, _, (i, b, h) in mined]
         X = np.array(pos_rows + neg_rows)
         y = np.array([1.0] * len(pos_rows) + [-1.0] * len(mined))
-        sgd_cfg = SgdConfig(c_reg=cfg.c_reg, eta0=cfg.eta0, decay=cfg.decay,
-                            epochs=cfg.epochs, batch_size=cfg.batch_size,
-                            seed=cfg.seed + detector)
-        w, trace = sgd_fit(X, y, _detector_weight_vector(weights, detector), sgd_cfg)
+        w, trace = sgd_fit(X, y, _detector_weight_vector(weights, detector), cfg,
+                           cfg.seed + detector)
         _store_detector_weights(weights, detector, w)
         rounds.append(RoundLog(rnd, detector,
                                hinge_objective(w, X, y, cfg.c_reg),

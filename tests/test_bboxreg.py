@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import make_bundle, random_boxes, random_masks
+from segdetect import segfeat
 from segdetect.bboxreg import (BoxRegressor, ClassRegressor, apply_targets,
                                box_change, fit_class_regressor, fit_regressor,
                                iterate_boxes, regression_targets)
 from segdetect.boxes import Box, iou
 from segdetect.errors import InsufficientPairs, ProviderError
-from segdetect.model import ModelWeights
+from segdetect.model import ModelWeights, score_box
 
 
 def test_targets_identity_are_zero():
@@ -179,11 +180,85 @@ def test_iterate_provider_failure_raises(rng):
 def test_iterate_does_not_mutate_input_bundle(rng):
     bundle, weights, reg = _iteration_setup(rng, [0.5, 0.0, 0.0, 0.0])
     before_boxes = list(bundle.boxes)
-    before_app = bundle.appearance.copy()
+    before = [a.copy() for a in (bundle.appearance, bundle.context, bundle.seg_base)]
 
     def provider(image_id, box):
         return np.ones(4), np.ones(3), np.zeros(2)
 
-    iterate_boxes(bundle, reg, weights, 1, np.zeros((2, 2)), provider)
+    dets, _ = iterate_boxes(bundle, reg, weights, 1, np.zeros((2, 2)), provider)
+    assert [d.box for d in dets] != before_boxes
     assert bundle.boxes == before_boxes
-    np.testing.assert_array_equal(bundle.appearance, before_app)
+    for array, copy in zip((bundle.appearance, bundle.context, bundle.seg_base), before):
+        np.testing.assert_array_equal(array, copy)
+
+
+def test_iterate_extracts_blocks_once_per_moved_box(rng, monkeypatch):
+    # both passes shift box 0 by 0.2 widths and box 1 by 0.01 widths, which
+    # moves box 1 but leaves its rounded corners where they were
+    bundle, weights, reg = _iteration_setup(rng, [0.0, 0.0, 0.0, 0.0])
+    reg.per_class[1].weights[:2, 0] = 1.0
+    reg_rows = np.array([[0.2, 0.0], [0.01, 0.0]])
+    box_sums = segfeat._box_sums
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return box_sums(*args)
+
+    monkeypatch.setattr(segfeat, "_box_sums", counted)
+
+    def provider(image_id, box):
+        return np.zeros(4), np.zeros(3), reg_rows[0]
+
+    dets, stats = iterate_boxes(bundle, reg, weights, 1, reg_rows, provider,
+                                max_iters=2, change_thresh=0.0)
+    assert stats.changed_fraction == [0.5, 0.5]
+    assert all(d.box != box for d, box in zip(dets, bundle.boxes))
+    moved = [d.box for d, box in zip(dets, bundle.boxes)
+             if d.box.rounded() != box.rounded()]
+    assert moved == [dets[0].box]
+    assert len(calls) == bundle.n_segs * len(moved) and set(calls) == set(moved)
+
+
+def _rows_at(box, d_app, d_ctx, d_reg):
+    """Provider rows that depend only on the rounded box."""
+    rng = np.random.default_rng(box.rounded())
+    return rng.normal(0, 1, d_app), rng.normal(0, 1, d_ctx), rng.normal(0, 1, d_reg)
+
+
+def test_iterate_scores_equal_a_bundle_rebuilt_at_the_final_boxes(rng):
+    d_app, d_ctx, d_reg = 4, 3, 2
+    for trial in range(20):
+        width, height = int(rng.integers(12, 40)), int(rng.integers(12, 40))
+        n_classes, grid_k = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        masks = random_masks(rng, int(rng.integers(0, 4)), width, height)
+        boxes = random_boxes(rng, int(rng.integers(1, 6)), width, height)
+        raw = rng.normal(0, 2, (len(masks), n_classes))
+        app, ctx, reg_rows = (np.array(r) for r in
+                              zip(*(_rows_at(b, d_app, d_ctx, d_reg) for b in boxes)))
+        bundle = make_bundle("img", width, height, boxes, masks, raw, app, ctx,
+                             grid_k, -0.7)
+        weights = ModelWeights.zeros(n_classes, grid_k, -0.7, d_app, d_ctx)
+        for name in ("w_app", "w_ctx", "w_seg", "bias"):
+            setattr(weights, name, rng.normal(0, 1, getattr(weights, name).shape))
+        reg = BoxRegressor(d_reg=d_reg, ridge=1.0, per_class={
+            c: ClassRegressor(rng.normal(0, 0.1, (4, d_reg)), rng.normal(0, 0.1, 4))
+            for c in range(1, n_classes + 1)})
+
+        # with change_thresh 0 the provider runs on every change of the rounded
+        # box, so each box's final linear rows are _rows_at its final box
+        def provider(image_id, box):
+            return _rows_at(box, d_app, d_ctx, d_reg)
+
+        for detector in range(1, n_classes + 1):
+            dets, _ = iterate_boxes(bundle, reg, weights, detector, reg_rows,
+                                    provider, max_iters=int(rng.integers(1, 4)),
+                                    change_thresh=0.0)
+            final = [d.box for d in dets]
+            rows = [_rows_at(b, d_app, d_ctx, d_reg) for b in final]
+            rebuilt = make_bundle("img", width, height, final, masks, raw,
+                                  [r[0] for r in rows], [r[1] for r in rows],
+                                  grid_k, -0.7)
+            for b, det in enumerate(dets):
+                assert (det.score, det.chosen_segments) == \
+                    score_box(rebuilt, weights, detector, b), (trial, detector, b)

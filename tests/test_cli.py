@@ -6,6 +6,9 @@ import pytest
 
 from segdetect.boxes import Box, iou
 from segdetect.cli import _nearest_box_provider, main
+from segdetect.config import load_config
+from segdetect.dataset import Dataset, read_manifest
+from segdetect.model import build_bundle
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +65,26 @@ def test_featdump(workdir):
                  "--config", str(data / "config.txt"),
                  "--out", _p(workdir, "features.csv")]) == 0
     with open(_p(workdir, "features.csv")) as f:
-        assert f.readline().startswith("image_id,box_id,segment_id,class_id")
+        assert f.readline() == "image_id,box_id,segment_id,class_id,features\n"
+        rows = [line.rstrip("\n").split(",") for line in f]
+    cfg = load_config(data / "config.txt")
+    dataset = Dataset(read_manifest(data / "manifest_test.txt"),
+                      min_segment_pixels=cfg.min_segment_pixels)
+    expected = []
+    for image_id in dataset.image_order:
+        bundle = build_bundle(dataset, image_id, cfg.grid_k, cfg.lambda_bias)
+        for b, box_id in enumerate(bundle.box_ids):
+            for s, seg_id in enumerate(bundle.seg_ids):
+                for c in range(dataset.n_classes):
+                    block = bundle.seg_base[b, s].copy()
+                    block[-1] = bundle.sigmoid_scores[s, c]
+                    expected.append(([image_id, str(box_id), str(seg_id), str(c + 1)],
+                                     block))
+    assert expected and len(rows) == len(expected)
+    for (*key, vals), (want_key, block) in zip(rows, expected):
+        assert key == want_key
+        got = np.array([float(v) for v in vals.split(";")])
+        assert got.tobytes() == block.tobytes()
 
 
 def test_detect_missing_model_exit_2(workdir, capsys):

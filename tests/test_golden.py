@@ -1,8 +1,9 @@
 """Golden output hashes of one seeded round trip through the CLI.
 
-synth -> train -> detect -> regress fit -> regress iterate on a small noisy
-world whose hard-negative cache cap binds, so mining, latent relabeling, NMS
-and the nearest-box provider all shape the outputs.  The sha256 values pin
+synth -> train -> detect -> regress fit -> regress iterate -> eval of both
+detection files on a small noisy world whose hard-negative cache cap binds,
+so mining, latent relabeling, NMS and the nearest-box provider all shape the
+outputs.  The sha256 values pin
 every output bit, so a speed-up that moves any of them fails here.  They
 hold for one numpy/BLAS build: a BLAS that sums in another order may round
 a dot product differently.
@@ -19,6 +20,9 @@ GOLDEN = {
     "train.log": "a32509f7fcbd9906af1a4d0b430feaf89ea424eb4f735f50d52d242b83a5d9f8",
     "dets.csv": "358916ad97591334c28b0410b1224d97acf77d8add66b9d699b89e7246414666",
     "refined.csv": "4d543c428a5bebc81ae0d007bee7c1eb503fa615533e24c4c771991f15021791",
+    "report.csv": "c5afb6251eb6576791790d286488a5111f8f4dbe727650ed95ba3391c8df6e17",
+    "report_refined.csv":
+        "1a5b2726f844e3833c8c8ebb4bcc5385ae8daab525617d4a92045864106a34ad",
 }
 
 
@@ -46,7 +50,11 @@ def outputs(tmp_path_factory):
                  ["regress", "fit", *train, "--out", str(root / "reg.txt")],
                  ["regress", "iterate", *test, "--model", str(root / "model.txt"),
                   "--regressor", str(root / "reg.txt"),
-                  "--out", str(root / "refined.csv")]):
+                  "--out", str(root / "refined.csv")],
+                 ["eval", *test, "--detections", str(root / "dets.csv"),
+                  "--out", str(root / "report.csv")],
+                 ["eval", *test, "--detections", str(root / "refined.csv"),
+                  "--out", str(root / "report_refined.csv")]):
         assert main(argv) == 0, argv
     return root
 

@@ -5,9 +5,10 @@ import pytest
 
 from conftest import make_bundle, random_boxes, random_masks, segment_contributions
 from segdetect.boxes import Box
+from segdetect.config import Config
 from segdetect.masks import SegmentMask, tight_box
 from segdetect.model import ModelWeights, score_box
-from segdetect.training import (SgdConfig, assign_labels, hinge_objective,
+from segdetect.training import (assign_labels, hinge_objective,
                                 init_latent, mine_hard_negatives,
                                 relabel_positives, seg_feature_vector, sgd_fit)
 
@@ -140,26 +141,26 @@ def _separable_problem(rng, n=60, d=3, margin=2.0):
 
 def test_sgd_separates_easy_problem(rng):
     X, y = _separable_problem(rng)
-    cfg = SgdConfig(c_reg=1.0, eta0=0.05, epochs=60, batch_size=8, seed=1)
-    w, trace = sgd_fit(X, y, np.zeros(X.shape[1]), cfg)
+    cfg = Config(c_reg=1.0, eta0=0.05, epochs=60, batch_size=8)
+    w, trace = sgd_fit(X, y, np.zeros(X.shape[1]), cfg, 1)
     assert np.all(np.sign(X @ w) == y)
     assert trace[-1] <= trace[0]
 
 
 def test_sgd_objective_never_worse_than_start(rng):
     X, y = _separable_problem(rng, n=40)
-    cfg = SgdConfig(c_reg=0.5, eta0=0.02, epochs=5, batch_size=4, seed=3)
+    cfg = Config(c_reg=0.5, eta0=0.02, epochs=5, batch_size=4)
     w0 = rng.normal(0, 1, X.shape[1])
     start = hinge_objective(w0, X, y, cfg.c_reg)
-    w, _ = sgd_fit(X, y, w0, cfg)
+    w, _ = sgd_fit(X, y, w0, cfg, 3)
     assert hinge_objective(w, X, y, cfg.c_reg) <= start + 1e-12
 
 
 def test_sgd_deterministic(rng):
     X, y = _separable_problem(rng)
-    cfg = SgdConfig(c_reg=1.0, eta0=0.05, epochs=10, batch_size=8, seed=2)
-    w1, t1 = sgd_fit(X, y, np.zeros(X.shape[1]), cfg)
-    w2, t2 = sgd_fit(X, y, np.zeros(X.shape[1]), cfg)
+    cfg = Config(c_reg=1.0, eta0=0.05, epochs=10, batch_size=8)
+    w1, t1 = sgd_fit(X, y, np.zeros(X.shape[1]), cfg, 2)
+    w2, t2 = sgd_fit(X, y, np.zeros(X.shape[1]), cfg, 2)
     np.testing.assert_array_equal(w1, w2)
     assert t1 == t2
 
@@ -167,9 +168,9 @@ def test_sgd_deterministic(rng):
 def test_sgd_small_c_shrinks_weights(rng):
     X, y = _separable_problem(rng)
     big = sgd_fit(X, y, np.zeros(X.shape[1]),
-                  SgdConfig(c_reg=10.0, eta0=0.05, epochs=40, seed=0))[0]
+                  Config(c_reg=10.0, eta0=0.05, epochs=40), 0)[0]
     small = sgd_fit(X, y, np.zeros(X.shape[1]),
-                    SgdConfig(c_reg=1e-4, eta0=0.05, epochs=40, seed=0))[0]
+                    Config(c_reg=1e-4, eta0=0.05, epochs=40), 0)[0]
     assert np.linalg.norm(small[:-1]) < np.linalg.norm(big[:-1])
 
 
