@@ -9,12 +9,13 @@ are rebuilt once, after the last pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .boxes import Box, clip_box, iou
-from .errors import InputError, InsufficientPairs, ProviderError
+from .errors import InputError, InsufficientPairs, NumericalError, ProviderError
 from .model import Detection, score_box, segment_blocks
 
 
@@ -60,7 +61,12 @@ class BoxRegressor:
         reg = self.per_class.get(class_id)
         if reg is None:
             return clip_box(box, width, height)
-        return apply_targets(box, reg.predict(features), width, height)
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = reg.predict(features)
+            new = apply_targets(box, t, width, height)
+        if not all(map(math.isfinite, (*t, new.x1, new.y1, new.x2, new.y2))):
+            raise NumericalError(f"class {class_id} regressor sends {box} off to inf or NaN")
+        return new
 
 
 def fit_class_regressor(features, proposals, gts, ridge) -> ClassRegressor:
@@ -133,8 +139,11 @@ def iterate_boxes(bundle, regressor: BoxRegressor, weights, detector,
     for _ in range(max_iters):
         changed = 0
         for b, box in enumerate(boxes):
-            new_box = regressor.refine(detector, reg_rows[b], box,
-                                       bundle.width, bundle.height)
+            try:
+                new_box = regressor.refine(detector, reg_rows[b], box,
+                                           bundle.width, bundle.height)
+            except NumericalError as e:
+                raise NumericalError(f"image {bundle.image_id!r}: {e}") from None
             if box_change(box, new_box) > change_thresh:
                 changed += 1
                 try:

@@ -30,10 +30,14 @@ class Box:
     def __post_init__(self):
         if self.x1 > self.x2 or self.y1 > self.y2:
             raise ValueError(f"inverted box {self}")
+        object.__setattr__(self, "_rounded", None)  # not a field; preset: compact dict
 
     def rounded(self) -> tuple[int, int, int, int]:
-        return (round_half_away(self.x1), round_half_away(self.y1),
-                round_half_away(self.x2), round_half_away(self.y2))
+        """Rounded corners, computed on first use (a box may hold NaN), then cached."""
+        if self._rounded is None:
+            corners = (self.x1, self.y1, self.x2, self.y2)
+            object.__setattr__(self, "_rounded", tuple(map(round_half_away, corners)))
+        return self._rounded
 
     def center_size(self) -> tuple[float, float, float, float]:
         """(cx, cy, w, h) with the +1 width convention."""

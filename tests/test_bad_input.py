@@ -159,6 +159,24 @@ def test_bad_input_exits_2_naming_the_file(world, tmp_path, capsys,
     assert re.search(expect, err), err
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_regressor_exits_3_without_traceback(world, tmp_path, capsys):
+    """Finite weights of 1e308 overflow the targets: a numerical error, not a crash."""
+    root = tmp_path / "w"
+    shutil.copytree(world, root)
+
+    def huge(line):
+        key, *values = line.split()
+        return " ".join([key] + ["1e308"] * len(values)) if key in ("w", "intercepts") else line
+
+    lines = (root / "reg.txt").read_text().splitlines()
+    (root / "reg.txt").write_text("".join(huge(line) + "\n" for line in lines))
+    assert main(_argv(root, "iterate")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: image ") and "regressor" in err, err
+    assert "Traceback" not in err and not (root / "refined.csv").exists()
+
+
 # command -> argv writing its output to `bad`, given the world and a scratch dir
 UNWRITABLE = {
     "train --out": lambda common, root, tmp, bad: ["train", *common, "--out", bad],

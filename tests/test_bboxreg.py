@@ -7,7 +7,7 @@ from segdetect.bboxreg import (BoxRegressor, ClassRegressor, apply_targets,
                                box_change, fit_class_regressor, fit_regressor,
                                iterate_boxes, regression_targets)
 from segdetect.boxes import Box, iou
-from segdetect.errors import InsufficientPairs, ProviderError
+from segdetect.errors import InsufficientPairs, NumericalError, ProviderError
 from segdetect.model import ModelWeights, score_box
 
 
@@ -105,6 +105,28 @@ def test_fit_regressor_skips_empty_class(rng):
 def test_refine_without_class_returns_clipped_box():
     reg = BoxRegressor(d_reg=3, ridge=1.0)
     assert reg.refine(7, np.zeros(3), Box(0, 0, 200, 9), 100, 50) == Box(0, 0, 99, 9)
+
+
+@pytest.mark.filterwarnings("error")
+def test_refine_raises_numerical_error_on_non_finite_targets_or_box():
+    def refine(weight, intercepts):
+        reg = BoxRegressor(d_reg=1, ridge=1.0, per_class={2: ClassRegressor(
+            np.array([[weight], [0.0], [0.0], [0.0]]), np.asarray(intercepts, float))})
+        return reg.refine(2, np.ones(1), Box(3, 3, 9, 9), 20, 20)
+
+    # an infinite width clips to the image: finite targets, finite box
+    assert refine(0.0, [0, 0, 1e308, 0]) == Box(0, 3, 19, 9)
+    with pytest.raises(NumericalError, match="class 2"):
+        refine(1e308, [1e308, 0, 0, 0])     # the x target overflows to inf
+    with pytest.raises(NumericalError, match="class 2"):
+        refine(0.0, [1e308, 0, 1e308, 0])   # finite targets, inf - inf = NaN corners
+
+
+def test_iterate_names_the_image_of_a_non_finite_box(rng):
+    bundle, weights, reg = _iteration_setup(rng, [1e308] * 4)
+    reg.per_class[1].weights[:] = 1e308
+    with pytest.raises(NumericalError, match="image 'img': class 1"):
+        iterate_boxes(bundle, reg, weights, 1, np.ones((2, 2)), None)
 
 
 def _iteration_setup(rng, intercepts):

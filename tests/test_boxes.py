@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -84,3 +87,34 @@ def test_expand_monotone_and_in_bounds():
 
 def test_clip_box():
     assert clip_box(Box(-5, -5, 200, 50), 100, 60) == Box(0, 0, 99, 50)
+
+
+def test_rounded_rounds_each_coordinate_half_away_from_zero():
+    rng = np.random.default_rng(7)
+    values = [-3.5, -2.5, -1.5, -0.5, 0.5, 1.5, 2.5, -0.49, 0.49, *rng.uniform(-40, 40, 30)]
+    for x, y in zip(values, reversed(values)):
+        box = Box(x, y, x + 2.5, y + 0.5)
+        assert box.rounded() == tuple(round_half_away(v) for v in (x, y, x + 2.5, y + 0.5))
+        assert box.rounded() is box.rounded()    # computed once, then cached
+
+
+def test_rounding_cache_leaves_eq_hash_repr_replace_and_pickle_alone():
+    fresh, used = Box(0.5, -1.5, 3.5, 2.0), Box(0.5, -1.5, 3.5, 2.0)
+    text, key = repr(used), hash(used)
+    assert used.rounded() == (1, -2, 4, 2)
+    assert used == fresh and hash(used) == hash(fresh) == key
+    assert repr(used) == repr(fresh) == text == "Box(x1=0.5, y1=-1.5, x2=3.5, y2=2.0)"
+    assert [f.name for f in dataclasses.fields(used)] == ["x1", "y1", "x2", "y2"]
+    moved = dataclasses.replace(used, x2=10.5)
+    assert moved.rounded() == (1, -2, 11, 2)           # not the cached (1, -2, 4, 2)
+    for box in (fresh, used):
+        back = pickle.loads(pickle.dumps(box))
+        assert back == box and back.rounded() == (1, -2, 4, 2)
+
+
+def test_non_finite_boxes_construct_and_fail_only_when_rounded():
+    nan, inf = float("nan"), float("inf")
+    for box in (Box(nan, 0, 1, 1), Box(-inf, 0, inf, 1), Box(0, -inf, 1, inf)):
+        for _ in range(2):                                 # nothing is cached on failure
+            with pytest.raises((ValueError, OverflowError)):
+                box.rounded()

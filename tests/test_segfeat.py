@@ -250,6 +250,16 @@ def test_segclass_monotone_bounded():
     assert all(a < b for a, b in zip(ys, ys[1:]))
 
 
+def reference_cells(box, k):
+    """The K*K partition cell by cell: remainder pixels to the last row and column."""
+    x1, y1, x2, y2 = box.rounded()
+    bw, bh = (x2 - x1 + 1) // k, (y2 - y1 + 1) // k
+    return [(x1 + c * bw, y1 + r * bh,
+             x2 if c == k - 1 else x1 + (c + 1) * bw - 1,
+             y2 if r == k - 1 else y1 + (r + 1) * bh - 1)
+            for r in range(k) for c in range(k)]
+
+
 def reference_block(box, mask, class_score, k, lam, m):
     """Each feature on its own: rect_count per rectangle, clipped area, int / int."""
     table, n = mask.integral(), mask.pixel_count
@@ -260,7 +270,7 @@ def reference_block(box, mask, class_score, k, lam, m):
         x2, y2 = min(x2, mask.width - 1), min(y2, mask.height - 1)
         return 0 if x1 > x2 or y1 > y2 else (x2 - x1 + 1) * (y2 - y1 + 1)
 
-    cells = grid_cells(box, GridSpec(k))
+    cells = reference_cells(box, k)
     whole = box.rounded()
     outside = n - rect_count(table, *whole)
     return ([rect_count(table, *cell) / n for cell in cells]
@@ -270,11 +280,17 @@ def reference_block(box, mask, class_score, k, lam, m):
             + [iou(box, tight_box(mask)) - lam, segclass_feat(class_score)])
 
 
+def _sorted_pair(rng, lo, hi):
+    a, b = np.sort(rng.uniform(lo, hi, 2))
+    return float(a), float(b)
+
+
 def test_assemble_block_is_bit_identical_to_per_feature_reference():
     rng = np.random.default_rng(41)
     checked = 0
-    for _ in range(60):
+    for trial in range(60):
         h, w = (int(v) for v in rng.integers(3, 20, 2))
+        h, w = (1 if trial % 4 == 1 else h), (1 if trial % 4 == 2 else w)
         arr = rng.random((h, w)) < rng.uniform(0.05, 0.9)
         if not arr.any():
             continue
@@ -284,20 +300,30 @@ def test_assemble_block_is_bit_identical_to_per_feature_reference():
             boxes = [Box(0, 0, w - 1, h - 1),                  # the whole image
                      Box(w - 1.5, 0, w - 0.5, h - 0.5),        # rounds onto the border
                      Box(-0.4, -0.4, 0.4, h - 1),              # one column wide
-                     Box(0, h - 1, w - 1, h - 1)]              # one row high
-            for _ in range(6):
-                x1, x2 = np.sort(rng.uniform(-0.49, w - 0.51, 2))
-                y1, y2 = np.sort(rng.uniform(-0.49, h - 0.51, 2))
-                boxes.append(Box(float(x1), float(y1), float(x2), float(y2)))
+                     Box(0, h - 1, w - 1, h - 1),              # one row high
+                     Box(-3.2, -2.6, w + 1.7, h + 4.1),        # covers the image and more
+                     Box(w + 0.5, 0, w + 6, h - 1),            # wholly right of the image
+                     Box(-8, -6, -1.5, -0.6),                  # wholly above and left
+                     Box(-2.4, h - 1.5, 1.2, h + 3)]           # over the bottom-left corner
+            for out in (0, 1):                  # inside, then up to a side past each edge
+                for _ in range(4):
+                    x1, x2 = _sorted_pair(rng, -0.49 - out * w, w - 0.51 + out * w)
+                    y1, y2 = _sorted_pair(rng, -0.49 - out * h, h - 0.51 + out * h)
+                    boxes.append(Box(x1, y1, x2, y2))
+            for _ in range(3):                                 # thinner than K = 4 and 5
+                x, y = float(rng.uniform(-2, w + 1)), float(rng.uniform(-2, h + 1))
+                boxes.append(Box(x, y, x + float(rng.uniform(0, 3)),
+                                 y + float(rng.uniform(0, 3))))
             for box in boxes:
                 score = float(rng.normal(0, 3))
                 lam = float(rng.uniform(-1, 1))
-                for k in (1, 2, 3):
+                for k in (1, 2, 3, 4, 5):
+                    assert grid_cells(box, GridSpec(k)) == reference_cells(box, k)
                     block = assemble_block(box, mask, score, GridSpec(k), lam, m)
                     expect = np.array(reference_block(box, mask, score, k, lam, m))
-                    assert block.tobytes() == expect.tobytes(), (box, k, m)
+                    assert block.tobytes() == expect.tobytes(), (box, k, m, h, w)
                     checked += 1
-    assert checked > 1000
+    assert checked > 8000
 
 
 def test_assemble_matches_components():
