@@ -86,13 +86,14 @@ def fit_class_regressor(features, proposals, gts, ridge) -> ClassRegressor:
 def fit_regressor(pairs_by_class, d_reg, ridge) -> BoxRegressor:
     """pairs_by_class: class_id -> list of (feature_row, proposal Box, gt Box)."""
     reg = BoxRegressor(d_reg=d_reg, ridge=ridge)
-    for class_id in sorted(pairs_by_class):
-        pairs = pairs_by_class[class_id]
+    for class_id, pairs in sorted(pairs_by_class.items()):
         if not pairs:
             continue
-        feats = [f for f, _, _ in pairs]
-        reg.per_class[class_id] = fit_class_regressor(
-            feats, [p for _, p, _ in pairs], [g for _, _, g in pairs], ridge)
+        feats, proposals, gts = zip(*pairs)
+        try:
+            reg.per_class[class_id] = fit_class_regressor(feats, proposals, gts, ridge)
+        except InsufficientPairs as e:
+            raise InsufficientPairs(f"class {class_id}: {e}") from None
     return reg
 
 

@@ -15,7 +15,7 @@ from .bboxreg import (BoxRegressor, ClassRegressor, collect_training_pairs,
                       fit_regressor, iterate_boxes)
 from .boxes import iou_row, rounded_corners
 from .config import Config, load_config
-from .dataset import Dataset, finite, read_blocks, read_manifest
+from .dataset import Dataset, finite, read_blocks, read_manifest, write_records
 from .errors import InputError, NumericalError, SegDetectError
 from .evaluate import (average_best_overlap, evaluate_detections, write_pr_curves,
                        write_report)
@@ -54,9 +54,9 @@ def cmd_synth(args):
 def cmd_featdump(args):
     cfg = _load_config(args.config)
     dataset = _load_dataset(args.manifest, cfg)
-    with open(args.out, "w") as f:
-        header = ["image_id", "box_id", "segment_id", "class_id"]
-        f.write(",".join(header) + ",features\n")
+
+    def rows():
+        yield "image_id", "box_id", "segment_id", "class_id", "features"
         for image_id in dataset.image_order:
             bundle = build_bundle(dataset, image_id, cfg.grid_k, cfg.lambda_bias)
             for b, box_id in enumerate(bundle.box_ids):
@@ -65,8 +65,9 @@ def cmd_featdump(args):
                     for c in range(dataset.n_classes):
                         block = base.copy()
                         block[-1] = bundle.sigmoid_scores[s, c]
-                        vals = ";".join(repr(float(v)) for v in block)
-                        f.write(f"{image_id},{box_id},{seg_id},{c + 1},{vals}\n")
+                        yield (image_id, box_id, seg_id, c + 1,
+                               ";".join(repr(float(v)) for v in block))
+    write_records(args.out, rows())
     print(f"feature dump written to {args.out}")
     return 0
 
@@ -180,17 +181,13 @@ def _nearest_box_provider(dataset):
 
 
 def _save_regressor(path, regressor):
-    with open(path, "w") as f:
-        f.write("segdetect-regressor 1\n")
-        f.write(f"d_reg {regressor.d_reg}\n")
-        f.write(f"ridge {regressor.ridge!r}\n")
-        for class_id in sorted(regressor.per_class):
-            reg = regressor.per_class[class_id]
-            f.write(f"class {class_id}\n")
-            f.write("intercepts " + " ".join(repr(float(v))
-                                             for v in reg.intercepts) + "\n")
-            for row in reg.weights:
-                f.write("w " + " ".join(repr(float(v)) for v in row) + "\n")
+    def rows():
+        yield from (("segdetect-regressor", 1), ("d_reg", regressor.d_reg),
+                    ("ridge", regressor.ridge))
+        for class_id, reg in sorted(regressor.per_class.items()):
+            yield from (("class", class_id), ("intercepts", *reg.intercepts),
+                        *(("w", *row) for row in reg.weights))
+    write_records(path, rows(), sep=" ")
 
 
 def _load_regressor(path):

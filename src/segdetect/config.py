@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .dataset import finite, read_records
+from .dataset import finite, read_records, write_records
 from .errors import InputError
 
 
@@ -95,11 +95,6 @@ def load_config(path) -> Config:
 
 
 def save_config(path, cfg: Config):
-    with open(path, "w") as f:
-        for fld in fields(Config):
-            value = getattr(cfg, fld.name)
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            elif isinstance(value, float):
-                value = repr(value)
-            f.write(f"{fld.name} {value}\n")
+    values = ((fld.name, getattr(cfg, fld.name)) for fld in fields(Config))
+    write_records(path, ((name, str(v).lower() if isinstance(v, bool) else v)
+                         for name, v in values), sep=" ")

@@ -1,11 +1,13 @@
 """File formats and the in-memory dataset index.
 
 Text formats are line-oriented for diffability; feature matrices are binary.
-All readers raise InputError with the offending file and line.
+Text is read by read_records, which raises InputError with the file and line,
+and written by write_records, whose repr(float) floats read back bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import struct
@@ -87,6 +89,17 @@ def read_records(path, types, build, sep=","):
     return records
 
 
+def write_records(path, rows, sep=","):
+    """Write one line per row of fields, streaming rows; inverse of read_records.
+
+    A float (np.float64 too) is written as repr(float(v)), which reads back
+    with the same bits; any other field goes through str.
+    """
+    with open(path, "w") as f:
+        f.writelines(sep.join([repr(float(v)) if isinstance(v, float) else str(v)
+                               for v in row]) + "\n" for row in rows)
+
+
 def finite(tok):
     """float() that rejects NaN and infinities."""
     value = float(tok)
@@ -159,10 +172,8 @@ def valid_class_id(n_classes, class_id, what):
 
 def write_boxes_file(path, rows):
     """rows: iterable of (image_id, box_id, Box)."""
-    with open(path, "w") as f:
-        for image_id, box_id, b in rows:
-            f.write(f"{image_id},{box_id},{float(b.x1)!r},{float(b.y1)!r},"
-                    f"{float(b.x2)!r},{float(b.y2)!r}\n")
+    write_records(path, ((image_id, box_id, float(b.x1), float(b.y1), float(b.x2),
+                          float(b.y2)) for image_id, box_id, b in rows))
 
 
 def read_boxes_file(path, sizes=None):
@@ -179,10 +190,9 @@ def read_boxes_file(path, sizes=None):
 
 
 def write_masks_file(path, masks):
-    with open(path, "w") as f:
-        for m in masks:
-            runs = ",".join(f"{s}:{l}" for s, l in m.runs) or "-"
-            f.write(f"{m.image_id} {m.segment_id} {m.height} {m.width} {runs}\n")
+    write_records(path, ((m.image_id, m.segment_id, m.height, m.width,
+                          ",".join(f"{s}:{l}" for s, l in m.runs) or "-")
+                         for m in masks), sep=" ")
 
 
 def _runs(text):
@@ -212,10 +222,9 @@ def read_masks_file(path, sizes=None, reject_empty=False):
 
 def write_gt_file(path, gts):
     """gts: iterable of (image_id, class_id, Box, difficult)."""
-    with open(path, "w") as f:
-        for image_id, class_id, b, difficult in gts:
-            f.write(f"{image_id},{class_id},{float(b.x1)!r},{float(b.y1)!r},"
-                    f"{float(b.x2)!r},{float(b.y2)!r},{1 if difficult else 0}\n")
+    write_records(path, ((image_id, class_id, float(b.x1), float(b.y1), float(b.x2),
+                          float(b.y2), 1 if difficult else 0)
+                         for image_id, class_id, b, difficult in gts))
 
 
 def _difficult(tok):
@@ -238,9 +247,7 @@ def read_gt_file(path, sizes=None, n_classes=None):
 
 def write_seg_scores_file(path, rows):
     """rows: iterable of (image_id, segment_id, class_id, score)."""
-    with open(path, "w") as f:
-        for image_id, seg_id, class_id, score in rows:
-            f.write(f"{image_id},{seg_id},{class_id},{float(score)!r}\n")
+    write_records(path, rows)
 
 
 def read_seg_scores_file(path, n_classes=None):
@@ -283,20 +290,11 @@ class Manifest:
 
 
 def write_manifest(path, manifest: Manifest):
-    with open(path, "w") as f:
-        f.write("version 1\n")
-        for name in manifest.class_names:
-            f.write(f"class {name}\n")
-        for image_id, w, h in manifest.images:
-            f.write(f"image {image_id} {w} {h}\n")
-        f.write(f"boxes {manifest.boxes_file}\n")
-        f.write(f"masks {manifest.masks_file}\n")
-        f.write(f"seg_scores {manifest.seg_scores_file}\n")
-        f.write(f"ground_truth {manifest.ground_truth_file}\n")
-        f.write(f"appearance {manifest.appearance_file}\n")
-        f.write(f"context {manifest.context_file}\n")
-        if manifest.regression_file:
-            f.write(f"regression {manifest.regression_file}\n")
+    files = ((key, getattr(manifest, f"{key}_file")) for key in _MANIFEST_FILES)
+    write_records(path, itertools.chain(
+        [("version", 1)], (("class", name) for name in manifest.class_names),
+        (("image", *image) for image in manifest.images),
+        ((key, name) for key, name in files if name)), sep=" ")
 
 
 def read_manifest(path):

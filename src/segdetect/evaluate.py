@@ -8,11 +8,14 @@ difficult objects do not count toward the recall denominator.
 
 from __future__ import annotations
 
+import itertools
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .boxes import iou
+from .dataset import write_records
 from .errors import APUndefined
 
 TP, FP, IGNORED = 1, 0, -1
@@ -161,25 +164,16 @@ def average_best_overlap(candidates_by_image, gts_by_image, n_classes):
 
 
 def write_report(path, report: EvalReport, class_names):
-    with open(path, "w") as f:
-        f.write("class,ap,abo\n")
-        for class_id, name in enumerate(class_names, 1):
-            ap = report.ap.get(class_id)
-            abo = report.abo.get(class_id)
-            f.write(f"{name},{'' if ap is None else repr(ap)},"
-                    f"{'' if abo is None else repr(abo)}\n")
-        f.write(f"mAP,{report.mean_ap!r},\n")
-        f.write(f"mABO,{report.mean_abo!r},\n")
+    write_records(path, itertools.chain(
+        [("class", "ap", "abo")],
+        ((name, report.ap.get(c, ""), report.abo.get(c, ""))
+         for c, name in enumerate(class_names, 1)),
+        [("mAP", report.mean_ap, ""), ("mABO", report.mean_abo, "")]))
 
 
 def write_pr_curves(directory, report: EvalReport, class_names):
-    import os
     os.makedirs(directory, exist_ok=True)
-    for class_id, name in enumerate(class_names, 1):
-        curve = report.curves.get(class_id)
-        if curve is None:
-            continue
-        with open(os.path.join(directory, f"pr_{name}.csv"), "w") as f:
-            f.write("recall,precision\n")
-            for r, p in zip(curve.recall, curve.precision):
-                f.write(f"{float(r)!r},{float(p)!r}\n")
+    for class_id, curve in report.curves.items():
+        write_records(os.path.join(directory, f"pr_{class_names[class_id - 1]}.csv"),
+                      itertools.chain([("recall", "precision")],
+                                      zip(curve.recall, curve.precision)))

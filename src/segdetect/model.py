@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boxes import Box, iou_row, rounded_corners
-from .dataset import finite, read_blocks, read_records, valid_class_id
+from .dataset import finite, read_blocks, read_records, valid_class_id, write_records
 from .errors import InputError
 from .segfeat import GridSpec, assemble_block, block_length, segclass_feat
 from .masks import largest_segment_area
@@ -65,19 +65,14 @@ class ModelWeights:
 
 def save_model(path, m: ModelWeights):
     m.validate()
-    with open(path, "w") as f:
-        f.write("segdetect-model 1\n")
-        f.write(f"n_classes {m.n_classes}\n")
-        f.write(f"grid_k {m.grid_k}\n")
-        f.write(f"lambda {m.lam!r}\n")
-        f.write(f"d_app {m.d_app}\n")
-        f.write(f"d_ctx {m.d_ctx}\n")
+
+    def rows():
+        yield from (("segdetect-model", 1), ("n_classes", m.n_classes), ("grid_k", m.grid_k),
+                    ("lambda", m.lam), ("d_app", m.d_app), ("d_ctx", m.d_ctx))
         for c in range(m.n_classes):
-            f.write(f"detector {c + 1}\n")
-            f.write("bias " + repr(float(m.bias[c])) + "\n")
-            for name, row in (("w_app", m.w_app[c]), ("w_ctx", m.w_ctx[c]),
-                              ("w_seg", m.w_seg[c])):
-                f.write(name + " " + " ".join(repr(float(v)) for v in row) + "\n")
+            yield from (("detector", c + 1), ("bias", m.bias[c]), ("w_app", *m.w_app[c]),
+                        ("w_ctx", *m.w_ctx[c]), ("w_seg", *m.w_seg[c]))
+    write_records(path, rows(), sep=" ")
 
 
 def load_model(path) -> ModelWeights:
@@ -267,13 +262,11 @@ def detect_image(bundle: FeatureBundle, weights: ModelWeights,
 # detections dump
 
 def write_detections(path, detections):
-    with open(path, "w") as f:
-        for d in detections:
-            segs = ";".join("NONE" if s is None else str(s)
-                            for s in d.chosen_segments)
-            f.write(f"{d.image_id},{d.class_id},{float(d.score)!r},"
-                    f"{float(d.box.x1)!r},{float(d.box.y1)!r},"
-                    f"{float(d.box.x2)!r},{float(d.box.y2)!r},{segs}\n")
+    write_records(path, (
+        (d.image_id, d.class_id, d.score, float(d.box.x1), float(d.box.y1),
+         float(d.box.x2), float(d.box.y2),
+         ";".join("NONE" if s is None else str(s) for s in d.chosen_segments))
+        for d in detections))
 
 
 def read_detections(path, n_classes=None):

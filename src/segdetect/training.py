@@ -9,12 +9,14 @@ objective non-increasing across the round.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .boxes import iou
+from .dataset import write_records
 from .errors import DivergedError
 from .masks import tight_box
 from .model import FeatureBundle, ModelWeights, build_bundle, score_box, score_boxes
@@ -179,11 +181,10 @@ class TrainResult:
 
 
 def write_training_log(path, rounds):
-    with open(path, "w") as f:
-        f.write("round,class_id,objective,num_hard_negs,num_latent_changed\n")
-        for r in rounds:
-            f.write(f"{r.round},{r.class_id},{r.objective!r},"
-                    f"{r.num_hard_negs},{r.num_latent_changed}\n")
+    write_records(path, itertools.chain(
+        [("round", "class_id", "objective", "num_hard_negs", "num_latent_changed")],
+        ((r.round, r.class_id, r.objective, r.num_hard_negs, r.num_latent_changed)
+         for r in rounds)))
 
 
 def _detector_weight_vector(weights: ModelWeights, detector):

@@ -177,6 +177,19 @@ def test_overflowing_regressor_exits_3_without_traceback(world, tmp_path, capsys
     assert "Traceback" not in err and not (root / "refined.csv").exists()
 
 
+def test_regress_fit_names_the_class_with_too_few_pairs(tmp_path, capsys):
+    """Seed 3 leaves class 3 with 2 pairs at reg_pair_iou 0.6, under d_reg + 1."""
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--seed", "3", "--images", "6"]) == 0
+    capsys.readouterr()
+    assert main(["regress", "fit", "--manifest", str(data / "manifest_train.txt"),
+                 "--config", str(data / "config.txt"),
+                 "--out", str(tmp_path / "reg.txt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: class 3: need at least") and "got 2" in err, err
+    assert "Traceback" not in err and not (tmp_path / "reg.txt").exists()
+
+
 # command -> argv writing its output to `bad`, given the world and a scratch dir
 UNWRITABLE = {
     "train --out": lambda common, root, tmp, bad: ["train", *common, "--out", bad],

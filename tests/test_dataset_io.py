@@ -1,15 +1,22 @@
+import ast
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import segdetect
 from segdetect.boxes import Box
 from segdetect.config import Config, load_config, save_config
-from segdetect.dataset import (Dataset, Manifest, read_boxes_file,
+from segdetect.dataset import (Dataset, Manifest, finite, read_boxes_file,
                                read_feature_matrix, read_gt_file,
-                               read_manifest, read_masks_file,
+                               read_manifest, read_masks_file, read_records,
                                read_seg_scores_file, write_boxes_file,
                                write_feature_matrix, write_gt_file,
                                write_manifest, write_masks_file,
-                               write_seg_scores_file)
+                               write_records, write_seg_scores_file)
 from segdetect.errors import InputError
 from segdetect.masks import SegmentMask
 
@@ -51,6 +58,8 @@ def test_boxes_roundtrip(tmp_path):
     path = tmp_path / "boxes.csv"
     write_boxes_file(path, rows)
     assert read_boxes_file(path) == rows
+    # an int Box is written with float coordinates
+    assert path.read_text() == "img0,0,0.0,1.5,9.25,9.0\nimg1,3,2.0,2.0,4.0,4.0\n"
 
 
 @pytest.mark.parametrize("line,err", [
@@ -100,6 +109,7 @@ def test_gt_roundtrip(tmp_path):
     path = tmp_path / "gt.csv"
     write_gt_file(path, gts)
     assert read_gt_file(path) == gts
+    assert path.read_text() == "a,1,0.0,0.0,9.0,9.0,0\nb,2,1.0,1.0,5.0,5.0,1\n"
 
 
 def test_gt_rejects_bad_difficult_flag(tmp_path):
@@ -220,3 +230,64 @@ def test_config_unknown_key(tmp_path):
     path.write_text("grid_k 3\nwat 1\n")
     with pytest.raises(InputError, match="wat"):
         load_config(path)
+
+
+# -0.0, the smallest subnormal and the largest finite double
+EDGE_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308]
+
+
+def _bits(value):
+    return struct.pack("<d", value)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6),
+       sep=st.sampled_from([",", " "]))
+def test_write_records_round_trips_float_bits(tmp_path_factory, values, sep):
+    """Python and numpy floats both read back through finite with the same bits."""
+    values = values + EDGE_FLOATS
+    path = tmp_path_factory.mktemp("records") / "floats.txt"
+    write_records(path, ((v, np.float64(v)) for v in values), sep=sep)
+    assert "np.float64(" not in path.read_text()
+    back = read_records(path, (finite, finite), lambda a, b: (_bits(a), _bits(b)), sep=sep)
+    assert back == [(_bits(v), _bits(v)) for v in values]
+
+
+def test_write_records_writes_other_fields_with_str(tmp_path):
+    path = tmp_path / "rows.txt"
+    write_records(path, iter([("img 0", 3, np.int64(4), True, 2.0), ("-",)]), sep=";")
+    assert path.read_text() == "img 0;3;4;True;2.0\n-\n"
+
+
+def _writing_opens(path):
+    """(enclosing function, mode) of each call in a module that opens a file to write."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", getattr(child.func, "attr", None))
+                if name in ("write_text", "write_bytes"):
+                    found.append((func, "w" if name == "write_text" else "wb"))
+                elif name in ("open", "fdopen"):
+                    mode = child.args[1] if len(child.args) > 1 else next(
+                        (kw.value for kw in child.keywords if kw.arg == "mode"), None)
+                    mode = "r" if mode is None else getattr(mode, "value", "?")
+                    if not isinstance(mode, str) or set(mode) & set("wax+?"):
+                        found.append((func, mode))
+            visit(child, func)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_every_text_file_is_written_by_write_records():
+    """One text writer: no module opens a file to write except these two."""
+    src = Path(segdetect.__file__).parent
+    writes = sorted((path.stem, func, mode) for path in src.glob("*.py")
+                    for func, mode in _writing_opens(path))
+    assert writes == [("dataset", "write_feature_matrix", "wb"),
+                      ("dataset", "write_records", "w")]

@@ -318,6 +318,8 @@ def test_detections_roundtrip(tmp_path):
             Detection("img1", 2, 3, Box(0, 0, 5, 5), -1.25, [7, None])]
     path = tmp_path / "dets.csv"
     write_detections(path, dets)
+    assert path.read_text() == ("img0,1,0.73,1.5,2.0,8.25,9.0,NONE;4\n"
+                                "img1,2,-1.25,0.0,0.0,5.0,5.0,7;NONE\n")
     loaded = read_detections(path)
     assert len(loaded) == 2
     for a, b in zip(loaded, dets):
