@@ -9,6 +9,7 @@ are rebuilt once, after the last pass.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field, replace
 
@@ -17,6 +18,8 @@ import numpy as np
 from .boxes import Box, clip_box, iou
 from .errors import InputError, InsufficientPairs, NumericalError, ProviderError
 from .model import Detection, score_box, segment_blocks
+
+log = logging.getLogger(__name__)
 
 
 def regression_targets(proposal: Box, gt: Box):
@@ -84,7 +87,12 @@ def fit_class_regressor(features, proposals, gts, ridge) -> ClassRegressor:
 
 
 def fit_regressor(pairs_by_class, d_reg, ridge) -> BoxRegressor:
-    """pairs_by_class: class_id -> list of (feature_row, proposal Box, gt Box)."""
+    """pairs_by_class: class_id -> list of (feature_row, proposal Box, gt Box).
+
+    A class with too few pairs to fit is skipped, with a warning when it has
+    any, so `refine` only clips its boxes.  Raises InsufficientPairs when no
+    class can be fit.
+    """
     reg = BoxRegressor(d_reg=d_reg, ridge=ridge)
     for class_id, pairs in sorted(pairs_by_class.items()):
         if not pairs:
@@ -93,7 +101,9 @@ def fit_regressor(pairs_by_class, d_reg, ridge) -> BoxRegressor:
         try:
             reg.per_class[class_id] = fit_class_regressor(feats, proposals, gts, ridge)
         except InsufficientPairs as e:
-            raise InsufficientPairs(f"class {class_id}: {e}") from None
+            log.warning("class %d: %s; its boxes are only clipped", class_id, e)
+    if not reg.per_class:
+        raise InsufficientPairs(f"no class has the {d_reg + 1} regression pairs a fit needs")
     return reg
 
 

@@ -1,4 +1,10 @@
-"""Run-length encoded binary segment masks and their summed-area tables."""
+"""Run-length encoded binary segment masks and their summed-area tables.
+
+`summed_area` is the one table builder.  Block extraction builds each
+segment's table as a local and drops it after that segment; only the
+one-box feature functions, called without a table, read the copy that
+`SegmentMask.integral()` caches on the mask.
+"""
 
 from __future__ import annotations
 
@@ -14,7 +20,7 @@ class SegmentMask:
     def __init__(self, image_id, segment_id, height, width, runs):
         total = height * width
         if height < 1 or width < 1 or total >= 2 ** 31:
-            # integral() counts pixels in int32
+            # summed_area() counts pixels in int32
             raise BadRle(f"bad mask dims {height}x{width}: need 1 to 2**31 - 1 pixels")
         prev_end = 0
         count = 0
@@ -51,14 +57,23 @@ class SegmentMask:
         return flat.reshape(self.height, self.width)
 
     def integral(self) -> np.ndarray:
-        """(H+1, W+1) summed-area table; entry (i, j) counts pixels in rows < i, cols < j."""
+        """`summed_area(self)`, built on the first call and kept on the mask.
+
+        Only the one-box feature functions read it, when called without a
+        table; `model.segment_blocks` passes its own, so no mask keeps one.
+        """
         if self._integral is None:
-            table = np.zeros((self.height + 1, self.width + 1), dtype=np.int32)
-            table[1:, 1:] = self.to_array()
-            np.cumsum(table, axis=0, dtype=np.int32, out=table)
-            np.cumsum(table, axis=1, dtype=np.int32, out=table)
-            self._integral = table
+            self._integral = summed_area(self)
         return self._integral
+
+
+def summed_area(mask: SegmentMask) -> np.ndarray:
+    """(H+1, W+1) int32 table; entry (i, j) counts mask pixels in rows < i, cols < j."""
+    table = np.zeros((mask.height + 1, mask.width + 1), dtype=np.int32)
+    table[1:, 1:] = mask.to_array()
+    np.cumsum(table, axis=0, dtype=np.int32, out=table)
+    np.cumsum(table, axis=1, dtype=np.int32, out=table)
+    return table
 
 
 def rect_count(table: np.ndarray, x1: int, y1: int, x2: int, y2: int) -> int:

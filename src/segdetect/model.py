@@ -17,7 +17,7 @@ from .boxes import Box, iou_row, rounded_corners
 from .dataset import finite, read_blocks, read_records, valid_class_id, write_records
 from .errors import InputError
 from .segfeat import GridSpec, assemble_block, block_length, segclass_feat
-from .masks import largest_segment_area
+from .masks import largest_segment_area, summed_area
 
 NONE_SEGMENT = None
 
@@ -131,12 +131,17 @@ def segment_blocks(boxes, masks, grid_k, lam, m) -> np.ndarray:
 
     The one block-extraction loop: build_bundle runs it on every box, and
     iterate_boxes on the boxes it moved.  m is the largest segment's area.
+    Each segment's summed-area table is a local, built only when there are
+    boxes and dropped after that segment, so no mask keeps one.
     """
     grid = GridSpec(grid_k)
     out = np.zeros((len(boxes), len(masks), block_length(grid_k)))
+    if not boxes:
+        return out
     for s, mask in enumerate(masks):
+        table = summed_area(mask)
         for b, box in enumerate(boxes):
-            out[b, s] = assemble_block(box, mask, 0.0, grid, lam, m)
+            out[b, s] = assemble_block(box, mask, 0.0, grid, lam, m, table)
     return out
 
 

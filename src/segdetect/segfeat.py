@@ -4,7 +4,9 @@ Six features per class: a K*K in-box segment grid, segment-out fraction,
 a K*K in-box background grid, background-out fraction, box/segment tight-box
 overlap, and a logistic segment class score.  All grid counts go through the
 segment's summed-area table: one read of its (K+1)^2 cell-edge lattice gives
-the four box-sum features of a (box, segment) pair.
+the four box-sum features of a (box, segment) pair.  A caller that extracts
+many boxes passes the table it built with `masks.summed_area`; without one,
+the mask's cached `integral()` is read.
 """
 
 from __future__ import annotations
@@ -51,9 +53,11 @@ def grid_cells(p: Box, grid: GridSpec):
             for r in range(grid.k) for c in range(grid.k)]
 
 
-def _box_sums(p: Box, s: SegmentMask, grid: GridSpec, m: int) -> list[float]:
+def _box_sums(p: Box, s: SegmentMask, grid: GridSpec, m: int,
+              table: np.ndarray | None = None) -> list[float]:
     """[grid_in (K*K), seg_out, back_in (K*K), back_out] for one box and segment.
 
+    table: `summed_area(s)`, or None to read the mask's cached `integral()`.
     One read of the summed-area table on the (K+1)^2 lattice of cell edges,
     each clamped to the image; clamped edges never decrease, so a cell off the
     image or thinner than a pixel has count and area 0.  The whole box uses
@@ -69,7 +73,7 @@ def _box_sums(p: Box, s: SegmentMask, grid: GridSpec, m: int) -> list[float]:
     k, w, h = grid.k, s.width, s.height
     xs = [0 if x < 0 else w if x > w else x for x in _edges(x1, x2, k)]
     ys = [0 if y < 0 else h if y > h else y for y in _edges(y1, y2, k)]
-    item = s.integral().item
+    item = (s.integral() if table is None else table).item
     t = [[item(y, x) for x in xs] for y in ys]
     d = max(m - n, 1)
     seg, back = [], []
@@ -123,10 +127,13 @@ def segclass_feat(score: float) -> float:
 
 
 def assemble_block(p: Box, s: SegmentMask, class_score: float,
-                   grid: GridSpec, lam: float, m: int) -> np.ndarray:
+                   grid: GridSpec, lam: float, m: int,
+                   table: np.ndarray | None = None) -> np.ndarray:
     """Concatenate the six features for one (box, segment, class) triple.
 
     Layout: [grid_in (K*K), seg_out, back_in (K*K), back_out, overlap, segclass].
+    table: the segment's `summed_area`, passed on to `_box_sums`; None reads
+    the mask's cached `integral()`, which then stays on the mask.
     """
-    return np.array(_box_sums(p, s, grid, m)
+    return np.array(_box_sums(p, s, grid, m, table)
                     + [overlap_feat(p, s, lam), segclass_feat(class_score)])

@@ -177,16 +177,47 @@ def test_overflowing_regressor_exits_3_without_traceback(world, tmp_path, capsys
     assert "Traceback" not in err and not (root / "refined.csv").exists()
 
 
-def test_regress_fit_names_the_class_with_too_few_pairs(tmp_path, capsys):
-    """Seed 3 leaves class 3 with 2 pairs at reg_pair_iou 0.6, under d_reg + 1."""
+def _synth_and_fit(tmp_path, seed, images):
     data = tmp_path / "data"
-    assert main(["synth", "--out", str(data), "--seed", "3", "--images", "6"]) == 0
-    capsys.readouterr()
-    assert main(["regress", "fit", "--manifest", str(data / "manifest_train.txt"),
-                 "--config", str(data / "config.txt"),
-                 "--out", str(tmp_path / "reg.txt")]) == 2
+    assert main(["synth", "--out", str(data), "--seed", str(seed),
+                 "--images", str(images)]) == 0
+    return data, main(["regress", "fit", "--manifest", str(data / "manifest_train.txt"),
+                       "--config", str(data / "config.txt"),
+                       "--out", str(tmp_path / "reg.txt")])
+
+
+def test_regress_fit_names_the_class_with_too_few_pairs(tmp_path, capsys, caplog):
+    """Seed 3 leaves class 3 with 2 pairs at reg_pair_iou 0.6, under d_reg + 1.
+
+    The class is skipped with a warning, and the other classes are fit.
+    """
+    _, code = _synth_and_fit(tmp_path, 3, 6)
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1 and warnings[0].startswith("class 3: need at least 6 pairs, got 2")
+    classes = [line for line in (tmp_path / "reg.txt").read_text().splitlines()
+               if line.startswith("class ")]
+    assert classes == ["class 1", "class 2"]
+
+
+def test_refine_only_clips_the_boxes_of_a_class_with_too_few_pairs(tmp_path):
+    from segdetect.boxes import Box, clip_box
+    from segdetect.cli import _load_regressor
+    data, code = _synth_and_fit(tmp_path, 3, 6)
+    assert code == 0
+    regressor = _load_regressor(tmp_path / "reg.txt")
+    box, row = Box(-3.5, 2.2, 70.4, 60.0), [0.3, -1.0, 2.0, 0.5, 1.5]
+    assert regressor.refine(3, row, box, 64, 48) == clip_box(box, 64, 48)
+    assert regressor.refine(2, row, box, 64, 48) != clip_box(box, 64, 48)
+
+
+def test_regress_fit_exits_2_when_no_class_has_enough_pairs(tmp_path, capsys):
+    """Seed 3 with 1 image leaves only class 2, with 4 pairs: nothing can be fit."""
+    _, code = _synth_and_fit(tmp_path, 3, 1)
+    assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: class 3: need at least") and "got 2" in err, err
+    assert err.startswith("error: no class has the 6 regression pairs a fit needs"), err
     assert "Traceback" not in err and not (tmp_path / "reg.txt").exists()
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_bundle, random_boxes, random_masks
-from segdetect import segfeat
+from segdetect import model, segfeat
 from segdetect.bboxreg import (BoxRegressor, ClassRegressor, apply_targets,
                                box_change, fit_class_regressor, fit_regressor,
                                iterate_boxes, regression_targets)
@@ -96,10 +96,15 @@ def test_too_few_pairs_rejected(rng):
         fit_class_regressor(feats, proposals, gts, ridge=1.0)
 
 
-def test_fit_regressor_skips_empty_class(rng):
-    feats, proposals, gts, _, _ = _linear_pairs(rng, 20, 3)
-    reg = fit_regressor({1: list(zip(feats, proposals, gts)), 2: []}, 3, 1e-6)
-    assert 1 in reg.per_class and 2 not in reg.per_class
+def test_fit_regressor_skips_empty_class(rng, caplog):
+    # class 3 has d_reg = 3 pairs, one too few: skipped with a warning
+    pairs = list(zip(*_linear_pairs(rng, 20, 3)[:3]))
+    reg = fit_regressor({1: pairs, 2: [], 3: pairs[:3]}, 3, 1e-6)
+    assert sorted(reg.per_class) == [1]
+    messages = [r.getMessage() for r in caplog.records]
+    assert messages == ["class 3: need at least 4 pairs, got 3; its boxes are only clipped"]
+    with pytest.raises(InsufficientPairs, match="no class has the 4 regression pairs"):
+        fit_regressor({2: [], 3: pairs[:3]}, 3, 1e-6)
 
 
 def test_refine_without_class_returns_clipped_box():
@@ -142,9 +147,10 @@ def _iteration_setup(rng, intercepts):
     return bundle, weights, reg
 
 
-def test_iterate_identity_regressor_stops_after_one_pass(rng):
+def test_iterate_identity_regressor_stops_after_one_pass(rng, monkeypatch):
     bundle, weights, reg = _iteration_setup(rng, [0.0, 0.0, 0.0, 0.0])
-    calls = []
+    calls, tables = [], []
+    monkeypatch.setattr(model, "summed_area", tables.append)
 
     def provider(image_id, box):
         calls.append(box)
@@ -155,6 +161,7 @@ def test_iterate_identity_regressor_stops_after_one_pass(rng):
     assert stats.changed_fraction == [0.0]
     assert stats.provider_calls == 0 and not calls
     assert [d.box for d in dets] == bundle.boxes
+    assert not tables                   # no box moved, so no table was built
 
 
 def test_iterate_provider_called_only_for_big_moves(rng):

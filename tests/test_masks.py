@@ -4,7 +4,7 @@ import pytest
 from segdetect.boxes import Box
 from segdetect.errors import BadRle, EmptySegment, NoSegments
 from segdetect.masks import (SegmentMask, largest_segment_area, rect_count,
-                             tight_box)
+                             summed_area, tight_box)
 
 
 def test_roundtrip_all_zero():
@@ -84,7 +84,9 @@ def test_integral_corners():
     empty = SegmentMask.from_array(np.zeros((2, 2), dtype=bool))
     assert not empty.integral().any()
     full = SegmentMask.from_array(np.ones((2, 2), dtype=bool))
-    assert full.integral()[2, 2] == 4
+    table = summed_area(full)
+    assert table[2, 2] == 4 and full._integral is None    # summed_area caches nothing
+    assert table.dtype == np.int32 and np.array_equal(full.integral(), table)
 
 
 def test_rect_count_matches_naive_exhaustive():

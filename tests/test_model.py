@@ -223,6 +223,47 @@ def test_build_bundle_decodes_each_mask_at_most_twice(tmp_path, monkeypatch):
     assert max(calls.values()) <= 2
 
 
+def test_segment_blocks_holds_about_two_tables_and_leaves_none_on_the_masks(tmp_path):
+    import tracemalloc
+    from segdetect.dataset import Dataset, read_manifest
+    from segdetect.model import build_bundle, segment_blocks
+    from segdetect.synth import SynthConfig, generate
+    rng = np.random.default_rng(7)
+    masks = []
+    for s in range(30):
+        arr = np.zeros((300, 300), dtype=bool)
+        y, x = rng.integers(0, 250, 2)
+        arr[y:y + rng.integers(10, 50), x:x + rng.integers(10, 50)] = True
+        masks.append(SegmentMask.from_array(arr, "img", s))
+    boxes = random_boxes(rng, 10, 300, 300)
+    m = max(mask.pixel_count for mask in masks)
+    table_bytes = 301 * 301 * np.dtype(np.int32).itemsize
+    tracemalloc.start()
+    try:
+        segment_blocks(boxes, masks, 3, -0.7, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * table_bytes, peak / table_bytes
+    assert all(mask._integral is None for mask in masks)
+
+    generate(SynthConfig(seed=2, n_images=3, boxes_per_image=12,
+                         segments_per_image=3), str(tmp_path))
+    dataset = Dataset(read_manifest(tmp_path / "manifest.txt"), min_segment_pixels=0)
+    for image_id in dataset.image_order:
+        build_bundle(dataset, image_id, 2, -0.7)
+    assert all(mask._integral is None for image_id in dataset.image_order
+               for mask in dataset.record(image_id).masks)
+
+
+def test_segment_blocks_without_boxes_builds_no_table(rng, monkeypatch):
+    from segdetect import model
+    built = []
+    monkeypatch.setattr(model, "summed_area", built.append)
+    out = model.segment_blocks([], random_masks(rng, 3, 12, 12), 2, -0.7, 144)
+    assert out.shape == (0, 3, block_length(2)) and not built
+
+
 def quadratic_nms(boxes, scores, box_ids, thresh):
     from segdetect.boxes import iou
     order = sorted(range(len(boxes)), key=lambda i: (-scores[i], box_ids[i]))

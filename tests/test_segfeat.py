@@ -5,7 +5,7 @@ import pytest
 
 from segdetect.boxes import Box, iou
 from segdetect.errors import DegenerateNormalizer, EmptySegment
-from segdetect.masks import SegmentMask, rect_count, tight_box
+from segdetect.masks import SegmentMask, rect_count, summed_area, tight_box
 from segdetect.segfeat import (GridSpec, assemble_block, back_out, backgrid_in,
                                block_length, grid_cells, overlap_feat,
                                seg_out, segclass_feat, seggrid_in)
@@ -295,6 +295,7 @@ def test_assemble_block_is_bit_identical_to_per_feature_reference():
         if not arr.any():
             continue
         mask = SegmentMask.from_array(arr)
+        table = summed_area(mask)
         n = int(arr.sum())
         for m in (n, n + int(rng.integers(1, 3 * h * w))):    # m == |S|: denominator 1
             boxes = [Box(0, 0, w - 1, h - 1),                  # the whole image
@@ -322,6 +323,8 @@ def test_assemble_block_is_bit_identical_to_per_feature_reference():
                     block = assemble_block(box, mask, score, GridSpec(k), lam, m)
                     expect = np.array(reference_block(box, mask, score, k, lam, m))
                     assert block.tobytes() == expect.tobytes(), (box, k, m, h, w)
+                    passed = assemble_block(box, mask, score, GridSpec(k), lam, m, table)
+                    assert passed.tobytes() == block.tobytes(), (box, k, m, h, w)
                     checked += 1
     assert checked > 8000
 
