@@ -191,7 +191,7 @@ def read_boxes_file(path, sizes=None):
 
 def write_masks_file(path, masks):
     write_records(path, ((m.image_id, m.segment_id, m.height, m.width,
-                          ",".join(f"{s}:{l}" for s, l in m.runs) or "-")
+                          ",".join(f"{s}:{l}" for s, l in m.runs.tolist()) or "-")
                          for m in masks), sep=" ")
 
 
@@ -388,10 +388,12 @@ class Dataset:
         for rec in self.images.values():
             rec.masks.sort(key=lambda m: m.segment_id)
 
+        # every line is checked; only this manifest's images are kept
         scores_path = manifest.resolve(manifest.seg_scores_file)
         self.seg_scores = {(image_id, seg_id, class_id): score
                            for image_id, seg_id, class_id, score
-                           in read_seg_scores_file(scores_path, self.n_classes)}
+                           in read_seg_scores_file(scores_path, self.n_classes)
+                           if image_id in self.images}
 
         for image_id, class_id, box, difficult in read_gt_file(
                 manifest.resolve(manifest.ground_truth_file), sizes, self.n_classes):

@@ -8,6 +8,8 @@ one-box feature functions, called without a table, read the copy that
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .boxes import Box
@@ -15,9 +17,15 @@ from .errors import BadRle, EmptySegment, NoSegments
 
 
 class SegmentMask:
-    """Binary mask of one region proposal, stored as row-major (start, length) runs."""
+    """Binary mask of one region proposal, stored as row-major (start, length) runs.
+
+    `runs` is one (n, 2) int32 array.  The runs are checked as Python ints
+    before the conversion, so an out-of-range value raises BadRle.
+    """
 
     def __init__(self, image_id, segment_id, height, width, runs):
+        if isinstance(runs, np.ndarray):
+            runs = runs.tolist()
         total = height * width
         if height < 1 or width < 1 or total >= 2 ** 31:
             # summed_area() counts pixels in int32
@@ -34,7 +42,8 @@ class SegmentMask:
         self.segment_id = segment_id
         self.height = height
         self.width = width
-        self.runs = tuple((int(s), int(l)) for s, l in runs)
+        self.runs = np.fromiter(itertools.chain.from_iterable(runs), dtype=np.int32,
+                                count=2 * len(runs)).reshape(-1, 2)
         self.pixel_count = count
         self._integral = None
         self._tight_box = None
@@ -52,7 +61,7 @@ class SegmentMask:
 
     def to_array(self) -> np.ndarray:
         flat = np.zeros(self.height * self.width, dtype=bool)
-        for start, length in self.runs:
+        for start, length in self.runs.tolist():
             flat[start:start + length] = True
         return flat.reshape(self.height, self.width)
 

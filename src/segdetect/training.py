@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import iou
+from .boxes import iou_row, rounded_corners
 from .dataset import write_records
 from .errors import DivergedError
 from .masks import tight_box
@@ -30,15 +30,13 @@ def assign_labels(boxes, gt_boxes, pos_iou=0.5, neg_iou=0.3):
     +1 when the best same-class IoU reaches pos_iou, -1 when it stays below
     neg_iou, 0 (excluded) in between.
     """
-    labels = np.empty(len(boxes), dtype=np.int8)
-    for i, box in enumerate(boxes):
-        best = max((iou(box, g) for g in gt_boxes), default=0.0)
-        if best >= pos_iou:
-            labels[i] = 1
-        elif best < neg_iou:
-            labels[i] = -1
-        else:
-            labels[i] = 0
+    corners = rounded_corners(boxes)
+    best = np.zeros(len(boxes))
+    for g in gt_boxes:
+        np.maximum(best, iou_row(g.rounded(), corners), out=best)
+    labels = np.zeros(len(boxes), dtype=np.int8)
+    labels[best < neg_iou] = -1
+    labels[best >= pos_iou] = 1
     return labels
 
 
@@ -46,19 +44,14 @@ def init_latent(bundle: FeatureBundle, box_index, n_classes):
     """First-round latent choice: the segment whose tight box best overlaps the box.
 
     The overlap feature differs from raw IoU only by a constant bias, so the
-    argmax is the same for every class.
+    argmax is the same for every class.  Ties go to the lowest segment id.
     """
     if bundle.n_segs == 0:
         return [None] * n_classes
-    box = bundle.boxes[box_index]
-    best_id = None
-    best = -1.0
-    for seg_id, mask in sorted(zip(bundle.seg_ids, bundle.segments),
-                               key=lambda t: t[0]):
-        ov = iou(box, tight_box(mask))
-        if ov > best:
-            best = ov
-            best_id = seg_id
+    overlaps = iou_row(bundle.boxes[box_index].rounded(),
+                       rounded_corners(map(tight_box, bundle.segments)))
+    best = overlaps.max()
+    best_id = min(seg_id for seg_id, ov in zip(bundle.seg_ids, overlaps) if ov == best)
     return [best_id] * n_classes
 
 
@@ -66,23 +59,6 @@ def relabel_positives(bundle: FeatureBundle, weights: ModelWeights,
                       detector, box_index):
     """Latent step: the segments score_box chooses under the current weights."""
     return score_box(bundle, weights, detector, box_index)[1]
-
-
-def seg_feature_vector(bundle: FeatureBundle, box_index, latent, L):
-    """Full C-block segmentation feature for one box at a fixed latent assignment."""
-    n_classes = len(latent)
-    out = np.zeros(n_classes * L)
-    if bundle.n_segs == 0:
-        return out
-    index_of = {seg_id: i for i, seg_id in enumerate(bundle.seg_ids)}
-    for c, seg_id in enumerate(latent):
-        if seg_id is None:
-            continue
-        s = index_of[seg_id]
-        block = bundle.seg_base[box_index, s].copy()
-        block[-1] = bundle.sigmoid_scores[s, c]
-        out[c * L:(c + 1) * L] = block
-    return out
 
 
 def hinge_objective(w, X, y, c_reg):
@@ -115,7 +91,8 @@ def sgd_fit(X, y, w0, cfg, seed):
     step = 0
     reg_mask = np.ones_like(w)
     reg_mask[-1] = 0.0
-    precond = np.maximum(np.abs(X).max(axis=0), 1.0) ** 2
+    # max |x| per column, without an |X| copy of the cache
+    precond = np.maximum(np.maximum(X.max(axis=0), -X.min(axis=0)), 1.0) ** 2
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         for lo in range(0, n, cfg.batch_size):
@@ -202,9 +179,55 @@ def _store_detector_weights(weights: ModelWeights, detector, w):
     weights.bias[d] = w[-1]
 
 
-def _instance_row(bundle, box_index, latent, L):
-    return np.concatenate([bundle.appearance[box_index], bundle.context[box_index],
-                           seg_feature_vector(bundle, box_index, latent, L), [1.0]])
+def _fill_rows(X, rows, bundle, boxes, latents, seg_col, L):
+    """Write the cache rows of some boxes of one image into X[rows].
+
+    Each is a plain copy of the box's features: appearance, context, then one
+    L-slot block per class from column seg_col.  A class's block stays zero
+    for no segment, else it is seg_base[b, s, :-1] with sigmoid_scores[s, c]
+    in the last slot.  X's last (bias) column is the caller's.
+    """
+    rows, boxes = np.asarray(rows), np.asarray(boxes)
+    d_app = bundle.appearance.shape[1]
+    X[rows, :d_app] = bundle.appearance[boxes]
+    X[rows, d_app:seg_col] = bundle.context[boxes]
+    index_of = {seg_id: s for s, seg_id in enumerate(bundle.seg_ids)}
+    picked = [(k, c, index_of[h]) for k, latent in enumerate(latents)
+              for c, h in enumerate(latent) if h is not None]
+    if picked:
+        k, c, s = np.array(picked).T
+        blocks = bundle.seg_base[boxes[k], s]
+        blocks[:, -1] = bundle.sigmoid_scores[s, c]
+        X[rows[k][:, None], seg_col + c[:, None] * L + np.arange(L)] = blocks
+
+
+def _cache_matrix(bundles, entries, weights: ModelWeights):
+    """The round's SGD cache: one row per (image index, box index, latent) entry.
+
+    X is allocated once, in entry order, and filled image by image.
+    """
+    seg_col = weights.d_app + weights.d_ctx
+    L = weights.seg_block_len
+    X = np.zeros((len(entries), seg_col + weights.n_classes * L + 1))
+    X[:, -1] = 1.0
+    by_image = {}
+    for row, (i, b, latent) in enumerate(entries):
+        by_image.setdefault(i, []).append((row, b, latent))
+    for i, group in by_image.items():
+        rows, boxes, latents = zip(*group)
+        _fill_rows(X, rows, bundles[i], boxes, latents, seg_col, L)
+    return X
+
+
+def _mine(bundles, negatives, weights, detector, cap):
+    """(image index, box index, latent) of the kept hard negatives, in mining order."""
+    scored = []
+    for i, boxes in negatives:
+        bundle = bundles[i]
+        scores, chosen = score_boxes(bundle, weights, detector, boxes)
+        scored.extend((score, bundle.image_id, bundle.box_ids[b], (i, b, h))
+                      for score, b, h in zip(scores, boxes, chosen))
+    return [entry for _, _, _, entry in mine_hard_negatives(scored, cap)]
 
 
 def train_class(bundles, labels_per_image, weights: ModelWeights, detector,
@@ -213,13 +236,13 @@ def train_class(bundles, labels_per_image, weights: ModelWeights, detector,
 
     bundles: list of FeatureBundle; labels_per_image: matching +1/-1/0 arrays.
     Negatives are scored one image at a time and mined before their feature
-    rows are built, so rows exist only for the kept ones.
+    rows are built, so rows exist only for the kept ones.  Each round's cache
+    is one matrix: the positives, then the kept negatives in mining order.
     Without use_seg the positives start at no segment.  With w_seg at zero,
     scoring then picks no segment anywhere, every segment column of the
     cache is zero and SGD leaves w_seg at exactly zero.
     Returns the per-round logs, or None when the class has no positives.
     """
-    L = weights.seg_block_len
     n_classes = weights.n_classes
     positives = [(i, b) for i, labels in enumerate(labels_per_image)
                  for b in np.flatnonzero(labels == 1)]
@@ -237,24 +260,17 @@ def train_class(bundles, labels_per_image, weights: ModelWeights, detector,
                 new = relabel_positives(bundles[key[0]], weights, detector, key[1])
                 changed += sum(a != b for a, b in zip(new, latent[key]))
                 latent[key] = new
-        pos_rows = [_instance_row(bundles[i], b, latent[(i, b)], L)
-                    for i, b in positives]
-        scored = []
-        for i, boxes in negatives:
-            bundle = bundles[i]
-            scores, chosen = score_boxes(bundle, weights, detector, boxes)
-            scored.extend((score, bundle.image_id, bundle.box_ids[b], (i, b, h))
-                          for score, b, h in zip(scores, boxes, chosen))
-        mined = mine_hard_negatives(scored, cfg.neg_cache_cap)
-        neg_rows = [_instance_row(bundles[i], b, h, L) for _, _, _, (i, b, h) in mined]
-        X = np.array(pos_rows + neg_rows)
-        y = np.array([1.0] * len(pos_rows) + [-1.0] * len(mined))
+        mined = _mine(bundles, negatives, weights, detector, cfg.neg_cache_cap)
+        X = _cache_matrix(bundles, [(i, b, latent[(i, b)]) for i, b in positives]
+                          + mined, weights)
+        y = np.repeat([1.0, -1.0], [len(positives), len(mined)])
         w, trace = sgd_fit(X, y, _detector_weight_vector(weights, detector), cfg,
                            cfg.seed + detector)
         _store_detector_weights(weights, detector, w)
         rounds.append(RoundLog(rnd, detector,
                                hinge_objective(w, X, y, cfg.c_reg),
                                trace[0], len(mined), changed))
+        del X, y, mined     # before the next round builds its own
     return rounds
 
 

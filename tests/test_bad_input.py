@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from segdetect.cli import main
+from segdetect.dataset import Dataset, read_manifest, read_seg_scores_file
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +98,13 @@ CASES = [
     # synth worlds keep every segment (min_segment_pixels 0), so an empty one is kept
     ("empty-kept-mask", "masks.txt", _set_field(1, 4, "-", None), "iterate",
      r"masks\.txt:1: segment 0 of img0000 is empty"),
+    # each bad run of a 64x64 mask, including one past int32 and malformed pairs
+    *[(f"mask-run-{what}", "masks.txt", _set_field(1, 4, runs, None), "iterate",
+       r"masks\.txt:1: ")
+      for what, runs in [("overlapping", "0:5,3:4"), ("unsorted", "10:2,0:2"),
+                         ("past-end", "4090:7"), ("zero-length", "0:0"),
+                         ("huge", "99999999999999999999:1"),
+                         ("three-fields", "3:4:5"), ("one-field", "3")]],
     ("repeated-seg-score", "seg_scores.csv", _repeat_line(1), "iterate",
      r"seg_scores\.csv:2: duplicate score for segment 0 of img0000, class 1"),
     ("image-zero-width", "manifest.txt", _replace("img0000 64 64", "img0000 0 64"),
@@ -157,6 +165,27 @@ def test_bad_input_exits_2_naming_the_file(world, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert re.search(expect, err), err
+
+
+def test_test_manifest_keeps_its_own_scores_and_checks_every_line(world, tmp_path,
+                                                                   capsys):
+    """The split manifests share one scores file; each keeps only its images'."""
+    dataset = Dataset(read_manifest(world / "manifest_test.txt"), min_segment_pixels=0)
+    rows = read_seg_scores_file(world / "seg_scores.csv")
+    own = {(image_id, seg, c): score for image_id, seg, c, score in rows
+           if image_id in dataset.images}
+    assert dataset.seg_scores == own and len(own) < len(rows)
+    root = tmp_path / "w"
+    shutil.copytree(world, root)
+    lines = (root / "seg_scores.csv").read_text().splitlines()
+    n = max(k for k, line in enumerate(lines, 1)
+            if line.split(",")[0] not in dataset.images)
+    (root / "seg_scores.csv").write_text(_set_field(n, 3, "nan")("\n".join(lines)))
+    assert main(["train", "--manifest", str(root / "manifest_test.txt"),
+                 "--config", str(root / "config.txt"),
+                 "--out", str(tmp_path / "model.txt")]) == 2
+    err = capsys.readouterr().err
+    assert re.search(rf"seg_scores\.csv:{n}: .*non-finite", err), err
 
 
 @pytest.mark.filterwarnings("error")

@@ -86,8 +86,8 @@ def test_masks_roundtrip(tmp_path, rng):
     back = read_masks_file(path)
     assert len(back) == len(masks)
     for a, b in zip(back, masks):
-        assert (a.image_id, a.segment_id, a.height, a.width, a.runs) == \
-            (b.image_id, b.segment_id, b.height, b.width, b.runs)
+        assert (a.image_id, a.segment_id, a.height, a.width, a.runs.tolist()) == \
+            (b.image_id, b.segment_id, b.height, b.width, b.runs.tolist())
 
 
 def test_masks_bad_rle_positioned(tmp_path):

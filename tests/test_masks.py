@@ -9,14 +9,14 @@ from segdetect.masks import (SegmentMask, largest_segment_area, rect_count,
 
 def test_roundtrip_all_zero():
     mask = SegmentMask.from_array(np.zeros((4, 4), dtype=bool))
-    assert mask.runs == ()
+    assert mask.runs.tolist() == []
     assert mask.pixel_count == 0
     assert not mask.to_array().any()
 
 
 def test_roundtrip_all_one():
     mask = SegmentMask.from_array(np.ones((3, 3), dtype=bool))
-    assert mask.runs == ((0, 9),)
+    assert mask.runs.tolist() == [[0, 9]]
     assert mask.to_array().all()
 
 
@@ -34,10 +34,39 @@ def test_roundtrip_random():
     [(10, 2), (0, 2)],     # unsorted
     [(14, 5)],             # out of range for 4x4
     [(0, 0)],              # zero length
+    [(99999999999999999999, 1)],    # past int32: BadRle, not OverflowError
+    np.array([[0, 5], [3, 4]]),     # an array is checked like a list
 ])
 def test_bad_rle_rejected(runs):
     with pytest.raises(BadRle):
         SegmentMask("img", 0, 4, 4, runs)
+
+
+def _random_runs(rng, height, width):
+    """Sorted, disjoint (start, length) runs of Python ints, possibly none."""
+    n_runs = min(int(rng.integers(0, 8)), (height * width + 1) // 2)
+    cuts = np.sort(rng.choice(height * width + 1, size=2 * n_runs, replace=False))
+    return [(int(s), int(e - s)) for s, e in zip(cuts[::2], cuts[1::2])]
+
+
+def test_runs_array_matches_per_run_oracle():
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        h, w = int(rng.integers(1, 13)), int(rng.integers(1, 13))
+        runs = _random_runs(rng, h, w)
+        mask = SegmentMask("img", 0, h, w, runs)
+        assert mask.runs.dtype == np.int32 and mask.runs.shape == (len(runs), 2)
+        assert mask.runs.tolist() == [list(run) for run in runs]
+        assert mask.pixel_count == sum(length for _, length in runs)
+        flat = np.zeros(h * w, dtype=bool)
+        for start, length in runs:
+            flat[start:start + length] = True
+        arr = flat.reshape(h, w)
+        assert np.array_equal(mask.to_array(), arr)
+        naive = [[int(arr[:i, :j].sum()) for j in range(w + 1)] for i in range(h + 1)]
+        assert summed_area(mask).tolist() == naive
+        again = SegmentMask("img", 1, h, w, mask.runs)
+        assert again.runs.tolist() == mask.runs.tolist()
 
 
 def test_tight_box_single_pixel():

@@ -1,16 +1,51 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import make_bundle, random_boxes, random_masks, segment_contributions
-from segdetect.boxes import Box
+from segdetect import training
+from segdetect.boxes import Box, iou
 from segdetect.config import Config
 from segdetect.masks import SegmentMask, tight_box
 from segdetect.model import ModelWeights, score_box
 from segdetect.training import (assign_labels, hinge_objective,
                                 init_latent, mine_hard_negatives,
-                                relabel_positives, seg_feature_vector, sgd_fit)
+                                relabel_positives, sgd_fit)
+
+
+def seg_feature_vector(bundle, box_index, latent, L):
+    """Oracle: the C-block segmentation feature of one box at a fixed latent."""
+    n_classes = len(latent)
+    out = np.zeros(n_classes * L)
+    if bundle.n_segs == 0:
+        return out
+    index_of = {seg_id: i for i, seg_id in enumerate(bundle.seg_ids)}
+    for c, seg_id in enumerate(latent):
+        if seg_id is None:
+            continue
+        s = index_of[seg_id]
+        block = bundle.seg_base[box_index, s].copy()
+        block[-1] = bundle.sigmoid_scores[s, c]
+        out[c * L:(c + 1) * L] = block
+    return out
+
+
+def instance_row(bundle, box_index, latent, L):
+    """Oracle: one cache row, built box by box."""
+    return np.concatenate([bundle.appearance[box_index], bundle.context[box_index],
+                           seg_feature_vector(bundle, box_index, latent, L), [1.0]])
+
+
+def _cache(bundle, latents):
+    """Cache rows of a bundle's boxes 0..n-1 at the given latents, by the gather."""
+    C = len(latents[0])
+    weights = ModelWeights.zeros(C, 2, -0.7, bundle.appearance.shape[1],
+                                 bundle.context.shape[1])
+    return training._cache_matrix([bundle], [(0, b, latent)
+                                             for b, latent in enumerate(latents)],
+                                  weights)
 
 
 def test_assign_labels_thresholds():
@@ -18,9 +53,10 @@ def test_assign_labels_thresholds():
     boxes = [Box(0, 0, 9, 9),      # IoU 1.0 -> positive
              Box(0, 0, 19, 9),     # IoU 0.5 -> positive (boundary)
              Box(0, 0, 29, 9),     # IoU 1/3 -> excluded
+             Box(0, 0, 9, 2),      # IoU 0.3 -> excluded (boundary)
              Box(50, 50, 59, 59)]  # IoU 0.0 -> negative
     labels = assign_labels(boxes, gts, pos_iou=0.5, neg_iou=0.3)
-    assert list(labels) == [1, 1, 0, -1]
+    assert list(labels) == [1, 1, 0, 0, -1]
 
 
 def test_assign_labels_no_gt_all_negative():
@@ -32,6 +68,24 @@ def test_assign_labels_best_gt_wins():
     gts = [Box(0, 0, 9, 9), Box(100, 100, 109, 109)]
     labels = assign_labels([Box(100, 100, 109, 109)], gts, 0.5, 0.3)
     assert list(labels) == [1]
+
+
+def test_assign_labels_and_init_latent_match_per_pair_iou(rng):
+    for _ in range(20):
+        boxes = random_boxes(rng, 6, 12, 12)
+        gts = random_boxes(rng, int(rng.integers(0, 4)), 12, 12)
+        best = [max((iou(b, g) for g in gts), default=0.0) for b in boxes]
+        expected = [1 if v >= 0.5 else -1 if v < 0.3 else 0 for v in best]
+        assert assign_labels(boxes, gts, 0.5, 0.3).tolist() == expected
+        masks = random_masks(rng, 4, 12, 12)[::-1]       # ids not in order
+        bundle = make_bundle("img", 12, 12, boxes, masks, np.zeros((4, 2)),
+                             rng.normal(0, 1, (6, 3)), rng.normal(0, 1, (6, 2)),
+                             2, -0.7)
+        for b, box in enumerate(boxes):
+            overlaps = {m.segment_id: iou(box, tight_box(m)) for m in masks}
+            top = max(overlaps.values())
+            expected_id = min(i for i, v in overlaps.items() if v == top)
+            assert init_latent(bundle, b, 2) == [expected_id] * 2
 
 
 def _two_rect_bundle(rng, raw_scores=None, n_classes=2):
@@ -95,7 +149,8 @@ def test_relabel_matches_per_class_enumeration(rng):
 def test_seg_feature_vector_layout(rng):
     bundle = _two_rect_bundle(rng)
     L = bundle.seg_base.shape[2]
-    v = seg_feature_vector(bundle, 0, [None, 1], L)
+    d = bundle.appearance.shape[1] + bundle.context.shape[1]
+    v = _cache(bundle, [[None, 1]])[0, d:-1]
     assert np.all(v[:L] == 0.0)
     expected = bundle.seg_base[0, 1].copy()
     expected[-1] = bundle.sigmoid_scores[1, 1]
@@ -104,8 +159,44 @@ def test_seg_feature_vector_layout(rng):
 
 def test_seg_feature_vector_all_none(rng):
     bundle = _two_rect_bundle(rng)
-    L = bundle.seg_base.shape[2]
-    assert not seg_feature_vector(bundle, 0, [None, None], L).any()
+    d = bundle.appearance.shape[1] + bundle.context.shape[1]
+    row = _cache(bundle, [[None, None]])[0]
+    assert not row[d:-1].any() and row[-1] == 1.0
+
+
+@pytest.mark.parametrize("grid_k", [1, 2, 3])
+@pytest.mark.parametrize("n_classes", [1, 2, 3, 4])
+def test_cache_matrix_matches_per_box_oracle(n_classes, grid_k):
+    """Positives image by image, then negatives from several images in mining order."""
+    rng = np.random.default_rng(10 * n_classes + grid_k)
+    d_app, d_ctx = 5, 3
+    bundles = []
+    for i in range(4):
+        n_segs = 0 if i == 1 else int(rng.integers(1, 5))
+        ids = sorted(rng.choice(50, n_segs, replace=False).tolist())
+        masks = [SegmentMask(m.image_id, seg_id, m.height, m.width, m.runs)
+                 for m, seg_id in zip(random_masks(rng, n_segs, 11, 9), ids)]
+        n_boxes = int(rng.integers(1, 6))
+        bundles.append(make_bundle(
+            f"img{i}", 11, 9, random_boxes(rng, n_boxes, 11, 9), masks,
+            rng.normal(0, 2, (n_segs, n_classes)), rng.normal(0, 1, (n_boxes, d_app)),
+            rng.normal(0, 1, (n_boxes, d_ctx)), grid_k, -0.7))
+
+    def entry(i):
+        options = [None, *bundles[i].seg_ids]
+        latent = [options[rng.integers(len(options))] for _ in range(n_classes)]
+        return i, int(rng.integers(bundles[i].n_boxes)), latent
+
+    positives = [entry(i) for i in range(4) for _ in range(2)]
+    positives.append((0, 0, [None] * n_classes))
+    negatives = [entry(int(i)) for i in rng.integers(0, 4, 12)]
+    entries = positives + negatives
+    weights = ModelWeights.zeros(n_classes, grid_k, -0.7, d_app, d_ctx)
+    X = training._cache_matrix(bundles, entries, weights)
+    L = weights.seg_block_len
+    oracle = np.array([instance_row(bundles[i], b, latent, L)
+                       for i, b, latent in entries])
+    assert X.shape == oracle.shape and X.tobytes() == oracle.tobytes()
 
 
 def test_mining_keeps_only_violators():
@@ -203,7 +294,6 @@ def test_no_seg_training_keeps_seg_weights_at_plus_zero(tmp_path):
 
 
 def test_train_builds_rows_only_for_kept_negatives(tmp_path, monkeypatch):
-    from segdetect import training
     from segdetect.config import load_config
     from segdetect.dataset import Dataset, read_manifest
     from segdetect.synth import SynthConfig, generate
@@ -214,18 +304,55 @@ def test_train_builds_rows_only_for_kept_negatives(tmp_path, monkeypatch):
     dataset = Dataset(read_manifest(tmp_path / "manifest.txt"),
                       min_segment_pixels=cfg.min_segment_pixels)
     built, fitted = [], []
-    instance_row, sgd = training._instance_row, training.sgd_fit
+    fill_rows, sgd = training._fill_rows, training.sgd_fit
 
-    def counted_row(*args):
-        built.append(args[1])
-        return instance_row(*args)
+    def counted_rows(X, rows, *args):
+        built.extend(rows)
+        return fill_rows(X, rows, *args)
 
     def counted_sgd(X, *args):
         fitted.append(len(X))
         return sgd(X, *args)
 
-    monkeypatch.setattr(training, "_instance_row", counted_row)
+    monkeypatch.setattr(training, "_fill_rows", counted_rows)
     monkeypatch.setattr(training, "sgd_fit", counted_sgd)
     result = training.train(dataset, cfg)
     assert result.rounds and all(r.num_hard_negs == 5 for r in result.rounds)
     assert len(built) == sum(fitted)
+
+
+def test_train_class_peak_memory_in_caches(tmp_path, monkeypatch):
+    """train_class holds one round's cache at a time, built in place.
+
+    The traced peak above train_class's start, in units of the largest cache
+    X, read 4.24 when each round built a list of one-row arrays, copied it
+    into X while the previous round's X was still alive, and sgd_fit took
+    |X| as a copy.  It reads 1.87 with one matrix per round and no copy.
+    """
+    from segdetect.config import load_config
+    from segdetect.dataset import Dataset, read_manifest
+    from segdetect.synth import SynthConfig, generate
+    generate(SynthConfig(seed=4, n_images=300, boxes_per_image=12, feature_noise=1.0),
+             str(tmp_path))
+    cfg = load_config(tmp_path / "config.txt")
+    dataset = Dataset(read_manifest(tmp_path / "manifest.txt"),
+                      min_segment_pixels=cfg.min_segment_pixels)
+    peaks, caches = [], []
+    train_class, sgd = training.train_class, training.sgd_fit
+
+    def traced_train_class(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            return train_class(*args, **kwargs)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    def measured_sgd(X, *args):
+        caches.append(X.nbytes)
+        return sgd(X, *args)
+
+    monkeypatch.setattr(training, "train_class", traced_train_class)
+    monkeypatch.setattr(training, "sgd_fit", measured_sgd)
+    training.train(dataset, cfg)
+    assert max(peaks) / max(caches) < 2.5, (max(peaks), max(caches))
