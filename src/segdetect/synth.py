@@ -29,14 +29,15 @@ from .errors import InputError
 from .masks import SegmentMask
 
 D_REG = 5   # [dx, dy, dlogw, dlogh, 1]
+OBJECTS_PER_IMAGE = 2    # one with no free place after 50 tries is left out
+PROTO_SCALE = 2.0        # peak of each class prototype
 
 
 # lowest value of each bounded SynthConfig field; segment sides are drawn from
 # [size // 5, size // 3), which is empty below 6 pixels
 _LOWEST = {"seed": 0, "n_images": 1, "n_classes": 1, "boxes_per_image": 0,
-           "segments_per_image": 0, "width": 6, "height": 6, "objects_per_image": 1,
-           "box_jitter": 0, "seg_noise": 0, "feature_noise": 0, "score_noise": 0,
-           "d_app": 1, "d_ctx": 1}
+           "segments_per_image": 0, "width": 6, "height": 6, "box_jitter": 0,
+           "seg_noise": 0, "feature_noise": 0, "score_noise": 0, "d_app": 1, "d_ctx": 1}
 
 
 @dataclass
@@ -48,7 +49,6 @@ class SynthConfig:
     segments_per_image: int = 4
     width: int = 64
     height: int = 64
-    objects_per_image: int = 2
     box_jitter: float = 0.0     # fraction of object size
     seg_noise: float = 0.0      # fractional erosion of segment rects
     feature_noise: float = 0.0  # stddev on appearance/context vectors
@@ -56,7 +56,6 @@ class SynthConfig:
     d_app: int = 16
     d_ctx: int = 8
     train_fraction: float = 0.8
-    proto_scale: float = 2.0
 
     def __post_init__(self):
         """Reject values the generator cannot use, before anything is written."""
@@ -65,6 +64,9 @@ class SynthConfig:
             low = _LOWEST.get(fld.name, -math.inf)
             if not (math.isfinite(value) and value >= low):
                 raise InputError(f"{fld.name} must be finite and >= {low}, got {value}")
+        if self.width * self.height >= 2 ** 31:     # the limit of SegmentMask
+            raise InputError(f"width * height must be below 2**31, got "
+                             f"{self.width}x{self.height}")
 
 
 def _logit(x):
@@ -81,16 +83,14 @@ class SynthImage:
 
 
 class SynthWorld:
-    """In-memory world; `write` dumps it to disk, `features_for_box` is the
+    """In-memory world; `write` dumps it to disk, `provider` is the
     noise-free feature function used as the re-extraction provider."""
 
     def __init__(self, cfg: SynthConfig):
         self.cfg = cfg
         rng = np.random.default_rng(cfg.seed)
-        self.app_protos = self._prototypes(rng, cfg.d_app, cfg.n_classes,
-                                           cfg.proto_scale)
-        self.ctx_protos = self._prototypes(rng, cfg.d_ctx, cfg.n_classes,
-                                           cfg.proto_scale)
+        self.app_protos = self._prototypes(rng, cfg.d_app, cfg.n_classes)
+        self.ctx_protos = self._prototypes(rng, cfg.d_ctx, cfg.n_classes)
         self.images = [self._make_image(rng, i) for i in range(cfg.n_images)]
         self._by_id = {img.image_id: img for img in self.images}
         # per-box feature noise drawn once so files are reproducible
@@ -107,28 +107,32 @@ class SynthWorld:
                     0.0, 1.0, cfg.n_classes)
 
     @staticmethod
-    def _prototypes(rng, dim, n_classes, scale):
+    def _prototypes(rng, dim, n_classes):
         # one prototype per class plus a background prototype, well separated
         protos = np.zeros((n_classes + 1, dim))
         for c in range(n_classes + 1):
-            protos[c, c % dim] = scale
+            protos[c, c % dim] = PROTO_SCALE
             protos[c] += 0.1 * rng.normal(0.0, 1.0, dim)
         return protos
+
+    def _random_rect(self, rng, lo, hi):
+        """Box with sides drawn from [size // lo, size // hi), placed inside the image."""
+        cfg = self.cfg
+        w = int(rng.integers(cfg.width // lo, cfg.width // hi))
+        h = int(rng.integers(cfg.height // lo, cfg.height // hi))
+        x1 = int(rng.integers(0, cfg.width - w))
+        y1 = int(rng.integers(0, cfg.height - h))
+        return Box(float(x1), float(y1), float(x1 + w - 1), float(y1 + h - 1))
 
     def _make_image(self, rng, index):
         cfg = self.cfg
         image_id = f"img{index:04d}"
         gts = []
-        for _ in range(cfg.objects_per_image):
+        for _ in range(OBJECTS_PER_IMAGE):
             class_id = int(rng.integers(1, cfg.n_classes + 1))
             # objects must not overlap much, or NMS legitimately merges them
             for _attempt in range(50):
-                w = int(rng.integers(cfg.width // 4, cfg.width // 2))
-                h = int(rng.integers(cfg.height // 4, cfg.height // 2))
-                x1 = int(rng.integers(0, cfg.width - w))
-                y1 = int(rng.integers(0, cfg.height - h))
-                candidate = Box(float(x1), float(y1),
-                                float(x1 + w - 1), float(y1 + h - 1))
+                candidate = self._random_rect(rng, 4, 2)
                 if all(iou(candidate, g) < 0.2 for _, g in gts):
                     gts.append((class_id, candidate))
                     break
@@ -139,12 +143,7 @@ class SynthWorld:
                 boxes.append((box_id, self._jitter(rng, gt, cfg.box_jitter)))
                 box_id += 1
         while box_id < cfg.boxes_per_image:
-            w = int(rng.integers(cfg.width // 4, cfg.width // 2))
-            h = int(rng.integers(cfg.height // 4, cfg.height // 2))
-            x1 = int(rng.integers(0, cfg.width - w))
-            y1 = int(rng.integers(0, cfg.height - h))
-            boxes.append((box_id, Box(float(x1), float(y1),
-                                      float(x1 + w - 1), float(y1 + h - 1))))
+            boxes.append((box_id, self._random_rect(rng, 4, 2)))
             box_id += 1
         segments = []
         seg_id = 0
@@ -153,11 +152,7 @@ class SynthWorld:
                              self._erode(rng, gt, cfg.seg_noise)))
             seg_id += 1
         while seg_id < cfg.segments_per_image:
-            w = int(rng.integers(cfg.width // 5, cfg.width // 3))
-            h = int(rng.integers(cfg.height // 5, cfg.height // 3))
-            x1 = int(rng.integers(0, cfg.width - w))
-            y1 = int(rng.integers(0, cfg.height - h))
-            rect = Box(float(x1), float(y1), float(x1 + w - 1), float(y1 + h - 1))
+            rect = self._random_rect(rng, 5, 3)
             segments.append((seg_id, rect, 0, rect))
             seg_id += 1
         return SynthImage(image_id, gts, boxes, segments)
@@ -202,7 +197,7 @@ class SynthWorld:
                 best_class = class_id
         return best_class - 1 if best >= 0.5 else self.cfg.n_classes
 
-    def features_for_box(self, image_id, box: Box):
+    def provider(self, image_id, box: Box):
         """Noise-free (appearance, context, regression) rows for any box.
 
         Context looks at the box grown by half its size in each direction,
@@ -221,9 +216,6 @@ class SynthWorld:
         gx, gy, gw, gh = nearest.center_size()
         return np.array([(gx - px) / pw, (gy - py) / ph,
                          math.log(gw / pw), math.log(gh / ph), 1.0])
-
-    def provider(self, image_id, box):
-        return self.features_for_box(image_id, box)
 
     # -- serialization -----------------------------------------------------
 
@@ -253,7 +245,7 @@ class SynthWorld:
                 gt_rows.append((img.image_id, class_id, gt, False))
             for box_id, box in img.boxes:
                 box_rows.append((img.image_id, box_id, box))
-                app, ctx, reg = self.features_for_box(img.image_id, box)
+                app, ctx, reg = self.provider(img.image_id, box)
                 na, nc = self._noise[(img.image_id, box_id)]
                 app_rows.append(app + cfg.feature_noise * na)
                 ctx_rows.append(ctx + cfg.feature_noise * nc)

@@ -48,6 +48,19 @@ def segment_contributions(bundle, weights, detector, box_index):
     return out
 
 
+def rect_count(table, x1, y1, x2, y2):
+    """Mask pixels inside the inclusive rectangle, clipped to the image.
+
+    The four-corner reference that `segfeat`'s lattice read is checked against.
+    """
+    h, w = table.shape[0] - 1, table.shape[1] - 1
+    x1, y1, x2, y2 = max(x1, 0), max(y1, 0), min(x2, w - 1), min(y2, h - 1)
+    if x1 > x2 or y1 > y2:
+        return 0
+    return int(table[y2 + 1, x2 + 1] - table[y1, x2 + 1]
+               - table[y2 + 1, x1] + table[y1, x1])
+
+
 def random_masks(rng, n_segs, width, height):
     masks = []
     for s in range(n_segs):

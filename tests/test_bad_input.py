@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from segdetect.bboxreg import collect_training_pairs
 from segdetect.cli import main
 from segdetect.dataset import Dataset, read_manifest, read_seg_scores_file
 
@@ -149,6 +150,9 @@ CASES = [
       for key, value in [("batch_size", 0), ("nms_iou", -5), ("top_k", -3),
                          ("epochs", -1), ("eval_iou", 0), ("eta0", 0),
                          ("change_thresh", 2), ("lambda_bias", "nan")]],
+    # a block of 2 * 100000**2 + 4 floats per pair would not fit in memory
+    ("config-grid_k-100000", *_config("grid_k", 100000), "iterate",
+     r"config\.txt:\d+: grid_k must be in"),
 ]
 
 
@@ -250,6 +254,22 @@ def test_regress_fit_exits_2_when_no_class_has_enough_pairs(tmp_path, capsys):
     assert "Traceback" not in err and not (tmp_path / "reg.txt").exists()
 
 
+def test_regress_fit_exits_2_when_no_pair_reaches_reg_pair_iou(tmp_path, capsys):
+    """Jittered proposals never match a ground-truth box exactly, as IoU 1 asks."""
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--images", "4", "--box-jitter", "0.2"]) == 0
+    config = data / "config.txt"
+    config.write_text(re.sub(r"(?m)^reg_pair_iou .*$", "reg_pair_iou 1.0", config.read_text()))
+    manifest = data / "manifest.txt"
+    assert collect_training_pairs(Dataset(read_manifest(manifest), min_segment_pixels=0),
+                                  1.0) == {}
+    assert main(["regress", "fit", "--manifest", str(manifest), "--config", str(config),
+                 "--out", str(tmp_path / "reg.txt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no class has the 6 regression pairs a fit needs"), err
+    assert not (tmp_path / "reg.txt").exists()
+
+
 # command -> argv writing its output to `bad`, given the world and a scratch dir
 UNWRITABLE = {
     "train --out": lambda common, root, tmp, bad: ["train", *common, "--out", bad],
@@ -309,7 +329,9 @@ BAD_SYNTH = [("width", "--width", "5"), ("height", "--height", "5"),
              ("n_classes", "--classes", "0"), ("d_app", "--dapp", "0"),
              ("box_jitter", "--box-jitter", "-1"), ("n_images", "--images", "0"),
              ("seed", "--seed", "-1"), ("seg_noise", "--seg-noise", "-0.5"),
-             ("feature_noise", "--feat-noise", "nan")]
+             ("feature_noise", "--feat-noise", "nan"),
+             # 40000000 x 64 pixels is past the 2**31 a mask may hold
+             ("width * height", "--width", "40000000")]
 
 
 @pytest.mark.parametrize("field,flag,value", BAD_SYNTH,

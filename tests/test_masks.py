@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import rect_count
 from segdetect.boxes import Box
 from segdetect.errors import BadRle, EmptySegment, NoSegments
-from segdetect.masks import (SegmentMask, largest_segment_area, rect_count,
-                             summed_area, tight_box)
+from segdetect.masks import SegmentMask, largest_segment_area, summed_area, tight_box
 
 
 def test_roundtrip_all_zero():

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import rect_count
 from segdetect.boxes import Box, iou
 from segdetect.errors import DegenerateNormalizer, EmptySegment
-from segdetect.masks import SegmentMask, rect_count, summed_area, tight_box
+from segdetect.masks import SegmentMask, summed_area, tight_box
 from segdetect.segfeat import (GridSpec, assemble_block, back_out, backgrid_in,
                                block_length, grid_cells, overlap_feat,
                                seg_out, segclass_feat, seggrid_in)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from segdetect.boxes import iou
+from segdetect.cli import main
 from segdetect.config import load_config
 from segdetect.dataset import Dataset, read_manifest
 from segdetect.evaluate import average_best_overlap
@@ -27,6 +28,18 @@ def test_same_seed_byte_identical_tree(tmp_path):
                       feature_noise=0.5, score_noise=0.2)
     generate(cfg, str(a))
     generate(cfg, str(b))
+    files_a = _tree_files(a)
+    files_b = _tree_files(b)
+    assert set(files_a) == set(files_b)
+    for rel in files_a:
+        assert filecmp.cmp(files_a[rel], files_b[rel], shallow=False), rel
+
+
+def test_synth_flag_defaults_are_synth_config_defaults(tmp_path):
+    a = tmp_path / "a"
+    b = tmp_path / "b"
+    assert main(["synth", "--out", str(a)]) == 0
+    generate(SynthConfig(), str(b))
     files_a = _tree_files(a)
     files_b = _tree_files(b)
     assert set(files_a) == set(files_b)
@@ -79,7 +92,7 @@ def test_zero_noise_features_are_prototype_exact(tmp_path):
     world = SynthWorld(SynthConfig(seed=5, n_images=3))
     img = world.images[0]
     class_id, gt = img.gts[0]
-    app, ctx, reg = world.features_for_box(img.image_id, gt)
+    app, ctx, reg = world.provider(img.image_id, gt)
     np.testing.assert_array_equal(app, world.app_protos[class_id - 1])
     assert reg.shape == (D_REG,)
     # a box sitting exactly on the gt has zero offsets
