@@ -1,6 +1,7 @@
 """Command-line surface.
 
-Exit codes: 0 success, 2 input error (bad file/flag) or unwritable output, 3 numerical error.
+Exit codes: 0 success, 2 input error, unwritable output or failed allocation,
+3 numerical error.
 """
 
 from __future__ import annotations
@@ -192,7 +193,7 @@ def _save_regressor(path, regressor):
 
 
 def _load_regressor(path):
-    header, blocks = read_blocks(path, "segdetect-regressor 1", "class",
+    header, blocks = read_blocks(path, "segdetect-regressor 1", ("d_reg", "ridge"), "class",
                                  ("intercepts", "w", "w", "w", "w"))
     try:
         regressor = BoxRegressor(d_reg=int(header["d_reg"]), ridge=finite(header["ridge"]))
@@ -201,7 +202,7 @@ def _load_regressor(path):
                 raise ValueError(f"class {class_id} needs 4 intercepts and 4 rows "
                                  f"of d_reg {regressor.d_reg} weights")
             regressor.per_class[class_id] = ClassRegressor(np.array(weights), intercepts)
-    except (KeyError, ValueError) as e:
+    except ValueError as e:
         raise InputError(f"{path}: bad regressor: {e}") from e
     return regressor
 
@@ -291,6 +292,9 @@ def main(argv=None) -> int:
         return 3
     except (SegDetectError, OSError) as e:     # OSError: an output path cannot be written
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        print(f"error: not enough memory: {e}", file=sys.stderr)
         return 2
 
 

@@ -1,4 +1,4 @@
-"""Run configuration: one flat key/value text file covering every knob."""
+"""Run configuration (one key/value file) and the bounds of config, synth and model numbers."""
 
 from __future__ import annotations
 
@@ -45,14 +45,17 @@ class Config:
             raise InputError("need neg_iou <= pos_iou")
 
 
-# (low, high, low end open) -> the fields it bounds; floats must also be
-# finite, and lambda_bias and eleven_point have no other bound
+# (low, high, low end open) -> the Config and SynthConfig fields it bounds; floats
+# must also be finite, and lambda_bias, eleven_point and train_fraction have no other bound
 _RANGES = {
     (1, 16, False): ("grid_k",),    # a block holds 2 K^2 + 4 floats per (box, segment)
     (1, math.inf, False): ("top_k", "epochs", "batch_size", "neg_cache_cap",
-                           "outer_iters"),
+                           "outer_iters", "n_images", "n_classes", "d_app", "d_ctx"),
     (0, math.inf, False): ("min_segment_pixels", "decay", "seed", "ridge",
-                           "bbox_max_iters"),
+                           "bbox_max_iters", "boxes_per_image", "segments_per_image",
+                           "box_jitter", "seg_noise", "feature_noise", "score_noise"),
+    # synth draws segment sides from [size // 5, size // 3), empty below 6 pixels
+    (6, math.inf, False): ("width", "height"),
     (0, math.inf, True): ("c_reg", "eta0"),
     (0, 1, False): ("nms_iou", "change_thresh"),
     (0, 1, True): ("pos_iou", "neg_iou", "reg_pair_iou", "eval_iou"),
@@ -61,12 +64,13 @@ _RANGE_OF = {name: bounds for bounds, names in _RANGES.items() for name in names
 
 
 def check_range(name, value):
-    """Raise InputError unless value lies in the range of Config field name."""
+    """Return value; raise InputError unless it lies in the range of the field name."""
     low, high, low_open = _RANGE_OF.get(name, (-math.inf, math.inf, False))
     if (isinstance(value, float) and not math.isfinite(value)
             or not (low < value if low_open else low <= value) or value > high):
         raise InputError(f"{name} must be in {'(' if low_open else '['}{low}, "
                          f"{high}], got {value}")
+    return value
 
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False}

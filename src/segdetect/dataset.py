@@ -108,12 +108,12 @@ def finite(tok):
     return value
 
 
-def read_blocks(path, magic, block_key, row_keys):
+def read_blocks(path, magic, header_keys, block_key, row_keys):
     """Read a magic line, `key value` header lines, then numbered blocks.
 
-    Each header key appears once.  Each block opens with `block_key <id>`,
-    an id >= 1 used once, and holds one `key v1 v2 ...` row of finite
-    numbers per row_keys entry, in order.
+    The header holds each of header_keys once, and no other key.  Each block
+    opens with `block_key <id>`, an id >= 1 used once, and holds one
+    `key v1 v2 ...` row of finite numbers per row_keys entry, in order.
     Returns (header, blocks): key -> value string, id -> list of float rows.
     """
     magic = tuple(magic.split())    # kept as the first header entry
@@ -135,8 +135,8 @@ def read_blocks(path, magic, block_key, row_keys):
                                  f"got {' '.join(values)!r}")
             rows = blocks[block_id] = []
         elif rows is None:
-            if len(values) != 1 or key in header:
-                raise ValueError(f"header line {key!r} needs one value, once")
+            if header and key not in header_keys or len(values) != 1 or key in header:
+                raise ValueError(f"header line {key!r} needs a known key and one value, once")
             header[key] = values[0]
         else:
             raise ValueError(f"expected {block_key} line, got {key!r}")
@@ -144,6 +144,9 @@ def read_blocks(path, magic, block_key, row_keys):
     read_records(path, None, parse, sep=None)
     if not header or rows is not None and len(rows) < len(row_keys):
         raise InputError(f"{path}: empty, or its last {block_key} block is cut short")
+    for key in header_keys:
+        if key not in header:
+            raise InputError(f"{path}: no {key} header line")
     return header, blocks
 
 

@@ -15,6 +15,8 @@ import numpy as np
 from .boxes import Box
 from .errors import BadRle, EmptySegment, NoSegments
 
+MAX_PIXELS = 2 ** 31    # a mask holds fewer pixels: summed_area() counts in int32
+
 
 class SegmentMask:
     """Binary mask of one region proposal, stored as row-major (start, length) runs.
@@ -27,8 +29,7 @@ class SegmentMask:
         if isinstance(runs, np.ndarray):
             runs = runs.tolist()
         total = height * width
-        if height < 1 or width < 1 or total >= 2 ** 31:
-            # summed_area() counts pixels in int32
+        if height < 1 or width < 1 or total >= MAX_PIXELS:
             raise BadRle(f"bad mask dims {height}x{width}: need 1 to 2**31 - 1 pixels")
         prev_end = 0
         count = 0

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boxes import Box, iou_row, rounded_corners
+from .config import check_range
 from .dataset import finite, read_blocks, read_records, valid_class_id, write_records
 from .errors import InputError
 from .segfeat import GridSpec, assemble_block, block_length, segclass_feat
@@ -76,19 +77,19 @@ def save_model(path, m: ModelWeights):
 
 
 def load_model(path) -> ModelWeights:
-    header, blocks = read_blocks(path, "segdetect-model 1", "detector",
-                                 ("bias", "w_app", "w_ctx", "w_seg"))
+    header, blocks = read_blocks(path, "segdetect-model 1",
+                                 ("n_classes", "grid_k", "lambda", "d_app", "d_ctx"),
+                                 "detector", ("bias", "w_app", "w_ctx", "w_seg"))
     try:
-        n, grid_k = int(header["n_classes"]), int(header["grid_k"])
-        if n < 1 or grid_k < 1 or sorted(blocks) != list(range(1, n + 1)):
-            raise ValueError(f"need n_classes and grid_k >= 1 and detector blocks "
-                             f"1..n_classes, got {n}, {grid_k} and {sorted(blocks)}")
+        n, grid_k = (check_range(key, int(header[key])) for key in ("n_classes", "grid_k"))
+        if len(blocks) != n or max(blocks) != n:    # ids are distinct and >= 1
+            raise ValueError(f"need detector blocks 1..{n}, got {sorted(blocks)}")
         bias, w_app, w_ctx, w_seg = (np.array([blocks[c][r] for c in range(1, n + 1)])
                                      for r in range(4))
         m = ModelWeights(n, grid_k, finite(header["lambda"]), int(header["d_app"]),
                          int(header["d_ctx"]), w_app, w_ctx, w_seg, bias.reshape(n))
         m.validate()
-    except (KeyError, ValueError, InputError) as e:
+    except (ValueError, InputError) as e:
         raise InputError(f"{path}: bad model: {e}") from e
     return m
 
@@ -127,12 +128,13 @@ class FeatureBundle:
 
 
 def segment_blocks(boxes, masks, grid_k, lam, m) -> np.ndarray:
-    """(n_boxes, n_segs, L) class-independent blocks, segclass slot 0.
+    """(n_boxes, n_segs, L) class-independent blocks, segclass slot segclass_feat(0.0) = 0.5.
 
     The one block-extraction loop: build_bundle runs it on every box, and
     iterate_boxes on the boxes it moved.  m is the largest segment's area.
     Each segment's summed-area table is a local, built only when there are
-    boxes and dropped after that segment, so no mask keeps one.
+    boxes and dropped after that segment, so no mask keeps one.  Nothing reads
+    that 0.5: score_boxes drops it, and _fill_rows and featdump overwrite it.
     """
     grid = GridSpec(grid_k)
     out = np.zeros((len(boxes), len(masks), block_length(grid_k)))

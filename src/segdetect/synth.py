@@ -16,28 +16,21 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .boxes import Box, clip_box, expand_box, iou, round_half_away
-from .config import Config, save_config
+from .config import Config, check_range, save_config
 from .dataset import (Manifest, write_boxes_file, write_feature_matrix,
                       write_gt_file, write_manifest, write_masks_file,
                       write_seg_scores_file)
 from .errors import InputError
-from .masks import SegmentMask
+from .masks import MAX_PIXELS, SegmentMask
 
 D_REG = 5   # [dx, dy, dlogw, dlogh, 1]
 OBJECTS_PER_IMAGE = 2    # one with no free place after 50 tries is left out
 PROTO_SCALE = 2.0        # peak of each class prototype
-
-
-# lowest value of each bounded SynthConfig field; segment sides are drawn from
-# [size // 5, size // 3), which is empty below 6 pixels
-_LOWEST = {"seed": 0, "n_images": 1, "n_classes": 1, "boxes_per_image": 0,
-           "segments_per_image": 0, "width": 6, "height": 6, "box_jitter": 0,
-           "seg_noise": 0, "feature_noise": 0, "score_noise": 0, "d_app": 1, "d_ctx": 1}
 
 
 @dataclass
@@ -59,12 +52,9 @@ class SynthConfig:
 
     def __post_init__(self):
         """Reject values the generator cannot use, before anything is written."""
-        for fld in fields(self):
-            value = getattr(self, fld.name)
-            low = _LOWEST.get(fld.name, -math.inf)
-            if not (math.isfinite(value) and value >= low):
-                raise InputError(f"{fld.name} must be finite and >= {low}, got {value}")
-        if self.width * self.height >= 2 ** 31:     # the limit of SegmentMask
+        for name, value in vars(self).items():
+            check_range(name, value)
+        if self.width * self.height >= MAX_PIXELS:
             raise InputError(f"width * height must be below 2**31, got "
                              f"{self.width}x{self.height}")
 

@@ -99,12 +99,12 @@ def sgd_fit(X, y, w0, cfg, seed):
             batch = order[lo:lo + cfg.batch_size]
             eta = cfg.eta0 / (1.0 + cfg.decay * step)
             step += 1
-            margins = 1.0 - y[batch] * (X[batch] @ w)
-            viol = margins > 0
+            Xb, yb = X[batch], y[batch]
+            viol = 1.0 - yb * (Xb @ w) > 0
             grad = 2.0 * w * reg_mask
             if np.any(viol):
                 scale = cfg.c_reg * n / len(batch)
-                grad -= scale * (y[batch][viol, None] * X[batch][viol]).sum(axis=0)
+                grad -= scale * (yb[viol, None] * Xb[viol]).sum(axis=0)
             w -= eta * grad / precond
         obj = hinge_objective(w, X, y, cfg.c_reg)
         trace.append(obj)
@@ -119,26 +119,18 @@ def sgd_fit(X, y, w0, cfg, seed):
 
 
 def mine_hard_negatives(scored_negatives, cap):
-    """Keep the top-cap margin-violating negatives (score > -1), deduplicated.
+    """Keep the top-cap margin-violating negatives (score > -1).
 
-    scored_negatives: iterable of (score, image_id, box_id, payload).  The
-    payload rides along untouched and is never compared, so callers can pass
-    what they need to build a kept negative's feature row afterwards.
-    Ties in score are broken by (image_id, box_id).
+    scored_negatives: list of (score, image_id, box_id, payload), one per
+    (image_id, box_id).  The payload rides along untouched and is never
+    compared, so callers can pass what they need to build a kept negative's
+    feature row afterwards.  Ties in score are broken by (image_id, box_id).
     Mining soundness: everything kept scores at least as high as anything
     scored but dropped.
     """
-    seen = set()
-    unique = []
-    for score, image_id, box_id, payload in scored_negatives:
-        key = (image_id, box_id)
-        if key in seen:
-            continue
-        seen.add(key)
-        if score > -1.0:
-            unique.append((score, image_id, box_id, payload))
-    unique.sort(key=lambda t: (-t[0], t[1], t[2]))
-    return unique[:cap]
+    kept = [entry for entry in scored_negatives if entry[0] > -1.0]
+    kept.sort(key=lambda t: (-t[0], t[1], t[2]))
+    return kept[:cap]
 
 
 @dataclass

@@ -131,6 +131,18 @@ CASES = [
     ("model-repeated-header-key", "model.txt",
      _replace("n_classes 3\n", "n_classes 3\nn_classes 2\n"),
      "iterate", r"model\.txt:3: .*n_classes"),
+    # a config caps grid_k at 16, and so does a model header
+    ("model-grid_k-17", "model.txt", _replace("grid_k 2\n", "grid_k 17\n"), "iterate",
+     r"model\.txt: bad model: grid_k must be in \[1, 16\], got 17"),
+    # checked against the detector blocks without a list of 10**12 ids
+    ("model-n_classes-1e12", "model.txt", _replace("n_classes 3\n", "n_classes 1000000000000\n"),
+     "iterate", r"model\.txt: bad model: need detector blocks 1\.\.1000000000000, got"),
+    ("model-unknown-header-key", "model.txt", _replace("grid_k 2\n", "grid_k 2\ngrid_kk 5\n"),
+     "iterate", r"model\.txt:4: .*grid_kk"),
+    ("model-missing-header-key", "model.txt", _replace("d_ctx 8\n", ""), "iterate",
+     r"model\.txt: no d_ctx header line"),
+    ("regressor-unknown-header-key", "reg.txt", _replace("ridge 1.0\n", "ridge 1.0\nridgee 7\n"),
+     "iterate", r"reg\.txt:4: .*ridgee"),
     ("regressor-nan-weight", "reg.txt", _replace("\nw ", "\nw nan "), "iterate",
      r"reg\.txt:6: .*non-finite"),
     ("regressor-d_reg-mismatch", "reg.txt", _replace("d_reg 5\n", "d_reg 99\n"),
@@ -342,6 +354,16 @@ def test_bad_synth_argument_exits_2_before_writing(tmp_path, capsys, field, flag
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field} must be"), err
     assert not out.exists()
+
+
+def test_failed_allocation_exits_2_before_writing(tmp_path, capsys):
+    """d_app 10**15 asks numpy for 28.4 PiB of class prototypes, which fails at once."""
+    out = tmp_path / "d"
+    assert main(["synth", "--out", str(out), "--images", "1",
+                 "--dapp", "1000000000000000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: not enough memory: "), err
+    assert "Traceback" not in err and not out.exists()
 
 
 # file -> command that reads it

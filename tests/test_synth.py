@@ -1,12 +1,13 @@
 import filecmp
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from segdetect.boxes import iou
 from segdetect.cli import main
-from segdetect.config import load_config
+from segdetect.config import _RANGES, Config, load_config
 from segdetect.dataset import Dataset, read_manifest
 from segdetect.evaluate import average_best_overlap
 from segdetect.synth import D_REG, SynthConfig, SynthWorld, generate
@@ -45,6 +46,17 @@ def test_synth_flag_defaults_are_synth_config_defaults(tmp_path):
     assert set(files_a) == set(files_b)
     for rel in files_a:
         assert filecmp.cmp(files_a[rel], files_b[rel], shallow=False), rel
+
+
+# fields that take any finite value; every other field has a range in config._RANGES
+UNBOUNDED = {"lambda_bias", "eleven_point", "train_fraction"}
+
+
+def test_every_config_and_synth_field_has_a_bound_decision():
+    names = {fld.name for cls in (Config, SynthConfig) for fld in fields(cls)}
+    bounded = [name for group in _RANGES.values() for name in group]
+    assert len(set(bounded)) == len(bounded)     # each name in one range
+    assert names == set(bounded) | UNBOUNDED and not UNBOUNDED & set(bounded)
 
 
 def test_different_seed_differs(tmp_path):

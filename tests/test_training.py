@@ -8,11 +8,13 @@ from conftest import make_bundle, random_boxes, random_masks, segment_contributi
 from segdetect import training
 from segdetect.boxes import Box, iou
 from segdetect.config import Config
+from segdetect.dataset import Dataset, read_manifest
 from segdetect.masks import SegmentMask, tight_box
 from segdetect.model import ModelWeights, score_box
+from segdetect.synth import SynthConfig, generate
 from segdetect.training import (assign_labels, hinge_objective,
                                 init_latent, mine_hard_negatives,
-                                relabel_positives, sgd_fit)
+                                relabel_positives, sgd_fit, train)
 
 
 def seg_feature_vector(bundle, box_index, latent, L):
@@ -216,11 +218,22 @@ def test_mining_cap_keeps_highest():
     assert min(s for s, _, _, _ in mined) >= max(dropped)
 
 
-def test_mining_dedup_first_occurrence():
-    scored = [(0.9, "a", 0, "first"), (0.1, "a", 0, "second")]
-    mined = mine_hard_negatives(scored, cap=10)
-    assert len(mined) == 1
-    assert mined[0][3] == "first"
+def test_mining_sees_each_negative_once(tmp_path, monkeypatch):
+    """mine_hard_negatives keeps no dedup: train scores each (image, box) once."""
+    mine = training.mine_hard_negatives
+    calls = []
+
+    def checked(scored_negatives, cap):
+        keys = [(image_id, box_id) for _, image_id, box_id, _ in scored_negatives]
+        assert len(set(keys)) == len(keys)
+        calls.append(len(keys))
+        return mine(scored_negatives, cap)
+
+    generate(SynthConfig(seed=1, n_images=6), tmp_path)
+    dataset = Dataset(read_manifest(tmp_path / "manifest.txt"), min_segment_pixels=0)
+    monkeypatch.setattr(training, "mine_hard_negatives", checked)
+    train(dataset, Config(min_segment_pixels=0, grid_k=2, epochs=2, outer_iters=2))
+    assert len(calls) == 2 * dataset.n_classes and min(calls) > 0
 
 
 def _separable_problem(rng, n=60, d=3, margin=2.0):
