@@ -17,7 +17,7 @@ import numpy as np
 
 from .boxes import Box
 from .errors import InputError
-from .masks import SegmentMask
+from .masks import SegmentMask, check_runs
 
 FEATURE_MAGIC = b"SDMF"
 FEATURE_VERSION = 1
@@ -204,23 +204,30 @@ def _runs(text):
 
 
 def read_masks_file(path, sizes=None, reject_empty=False):
-    """[SegmentMask]; masks of images in sizes must have their dims and, with
-    reject_empty, at least one pixel.
+    """[SegmentMask] of the images in sizes (of every image without sizes).
 
-    Segment ids are unique within an image.
+    Every line is checked, but only the returned masks are built.  Their
+    dims must match sizes and, with reject_empty, they need at least one
+    pixel.  Segment ids are unique within an image.
     """
     seen = set()
 
     def mask(image_id, segment_id, height, width, runs):
         _once(seen, (image_id, segment_id), f"segment id {segment_id} in image {image_id}")
-        size = sizes.get(image_id) if sizes else None
-        if size and size != (width, height):
+        if sizes is None:
+            return SegmentMask(image_id, segment_id, height, width, runs)
+        size = sizes.get(image_id)
+        if size is None:
+            check_runs(image_id, segment_id, height, width, runs)
+            return None
+        if size != (width, height):
             raise ValueError(f"mask dims {height}x{width} differ from image "
                              f"{image_id} dims {size[1]}x{size[0]}")
-        if size and reject_empty and not runs:
+        if reject_empty and not runs:
             raise ValueError(f"segment {segment_id} of {image_id} is empty")
         return SegmentMask(image_id, segment_id, height, width, runs)
-    return read_records(path, (str, int, int, int, _runs), mask, sep=None)
+    masks = read_records(path, (str, int, int, int, _runs), mask, sep=None)
+    return [m for m in masks if m is not None]
 
 
 def write_gt_file(path, gts):
@@ -384,9 +391,8 @@ class Dataset:
         # a threshold of 0 would keep empty masks, which have no features
         for mask in read_masks_file(manifest.resolve(manifest.masks_file), sizes,
                                     reject_empty=min_segment_pixels <= 0):
-            rec = self.images.get(mask.image_id)
-            if rec is not None and mask.pixel_count >= min_segment_pixels:
-                rec.masks.append(mask)
+            if mask.pixel_count >= min_segment_pixels:
+                self.images[mask.image_id].masks.append(mask)
         for rec in self.images.values():
             rec.masks.sort(key=lambda m: m.segment_id)
 

@@ -28,17 +28,7 @@ class SegmentMask:
     def __init__(self, image_id, segment_id, height, width, runs):
         if isinstance(runs, np.ndarray):
             runs = runs.tolist()
-        total = height * width
-        if height < 1 or width < 1 or total >= MAX_PIXELS:
-            raise BadRle(f"bad mask dims {height}x{width}: need 1 to 2**31 - 1 pixels")
-        prev_end = 0
-        count = 0
-        for start, length in runs:
-            if length < 1 or start < prev_end or start + length > total:
-                raise BadRle(
-                    f"bad run ({start},{length}) in segment {segment_id} of {image_id}")
-            prev_end = start + length
-            count += length
+        count = check_runs(image_id, segment_id, height, width, runs)
         self.image_id = image_id
         self.segment_id = segment_id
         self.height = height
@@ -75,6 +65,26 @@ class SegmentMask:
         if self._integral is None:
             self._integral = summed_area(self)
         return self._integral
+
+
+def check_runs(image_id, segment_id, height, width, runs) -> int:
+    """Pixel count of a mask's (start, length) runs, or BadRle.
+
+    The dims must hold 1 to 2**31 - 1 pixels, and each run must be
+    non-empty, after the previous one and inside the dims.
+    """
+    total = height * width
+    if height < 1 or width < 1 or total >= MAX_PIXELS:
+        raise BadRle(f"bad mask dims {height}x{width}: need 1 to 2**31 - 1 pixels")
+    prev_end = 0
+    count = 0
+    for start, length in runs:
+        if length < 1 or start < prev_end or start + length > total:
+            raise BadRle(
+                f"bad run ({start},{length}) in segment {segment_id} of {image_id}")
+        prev_end = start + length
+        count += length
+    return count
 
 
 def summed_area(mask: SegmentMask) -> np.ndarray:

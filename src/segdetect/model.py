@@ -21,6 +21,8 @@ from .segfeat import GridSpec, assemble_block, block_length, segclass_feat
 from .masks import largest_segment_area, summed_area
 
 NONE_SEGMENT = None
+# score_boxes scores at most this many (box, class, option) floats at a time
+SCORE_CHUNK_FLOATS = 2 ** 15
 
 
 @dataclass
@@ -187,39 +189,46 @@ def score_boxes(bundle: FeatureBundle, weights: ModelWeights, detector,
                 box_indices=None):
     """Greedy-exact energies of many boxes under detector `detector` (1-based).
 
-    box_indices: the boxes to score, in any order (default: every box).
-    Each class takes the argmax over {none} + segments.  None is worth
-    exactly 0.0 and comes first, and segments are in ascending id order, so
-    ties prefer none, then the lowest segment id.  The gains are added to
-    the linear score one class at a time, in class order.
+    box_indices: a sequence of the boxes to score, in any order (default:
+    every box).  Each class takes the argmax over {none} + segments.  None
+    is worth exactly 0.0 and comes first, and segments are in ascending id
+    order, so ties prefer none, then the lowest segment id.  The gains are
+    added to the linear score one class at a time, in class order.
+    All classes are scored in one stacked product per chunk of at most
+    SCORE_CHUNK_FLOATS options, with the same BLAS calls, and so the same
+    bits, as one product per box and class.
     Returns (scores, chosen): one float per box, and per box one segment id
     (None = no segment) per segment-choice class.
     """
     d = detector - 1
-    if box_indices is None:
-        box_indices = range(bundle.n_boxes)
-        base = bundle.seg_base[:, :, :-1]            # a view: no copy
-    else:
-        box_indices = list(box_indices)
-        base = bundle.seg_base[box_indices, :, :-1]
+    n_classes = weights.n_classes
+    rows = None if box_indices is None else np.asarray(box_indices, dtype=np.intp)
+    n = bundle.n_boxes if rows is None else len(rows)
     app, ctx = bundle.appearance, bundle.context
-    w_app, w_ctx, bias = weights.w_app[d], weights.w_ctx[d], weights.bias[d]
-    # one 1-D dot per box: a batched product rounds differently
-    scores = np.array([app[b] @ w_app + ctx[b] @ w_ctx + bias for b in box_indices],
-                      dtype=np.float64)
-    rows = np.arange(len(scores))
-    options = np.zeros((len(scores), bundle.n_segs + 1))     # column 0: none
-    w_blocks = weights.w_seg[d].reshape(weights.n_classes, -1)
+    w_app, w_ctx = weights.w_app[d][:, None], weights.w_ctx[d][:, None]
+    w_blocks = weights.w_seg[d].reshape(n_classes, -1)
+    w_base = w_blocks[:, :-1, None]                            # (C, L - 1, 1)
     class_terms = (bundle.sigmoid_scores * w_blocks[:, -1]).T  # (C, n_segs)
-    picks = []
-    for w, terms in zip(w_blocks[:, :-1], class_terms):
-        # per box, the same gemv as on that box's (n_segs, L - 1) block alone
-        np.add(base @ w, terms, out=options[:, 1:])
-        pick = options.argmax(axis=1)
-        scores += options[rows, pick]
-        picks.append(pick)
+    chunk = max(1, SCORE_CHUNK_FLOATS // (n_classes * (bundle.n_segs + 1)))
+    scores = np.empty(n)
+    picks = np.empty((n, n_classes), dtype=np.intp)
+    for lo in range(0, n, chunk):
+        sel = slice(lo, lo + chunk) if rows is None else rows[lo:lo + chunk]
+        # stacked (1, d) @ (d, 1) products: the same ddot as each box's 1-D dot
+        part = ((app[sel, None] @ w_app)[:, 0, 0] + (ctx[sel, None] @ w_ctx)[:, 0, 0]
+                + weights.bias[d])
+        # one gemv per (box, class), the same as on that box's block alone
+        options = np.zeros((len(part), n_classes, bundle.n_segs + 1))  # column 0: none
+        np.add((bundle.seg_base[sel, None, :, :-1] @ w_base)[..., 0], class_terms,
+               out=options[:, :, 1:])
+        pick = options.argmax(axis=2)
+        gains = options[np.arange(len(part))[:, None], np.arange(n_classes), pick]
+        for gain in gains.T:
+            part += gain
+        scores[lo:lo + len(part)] = part
+        picks[lo:lo + len(part)] = pick
     ids = np.array([NONE_SEGMENT, *bundle.seg_ids], dtype=object)
-    return scores.tolist(), ids[np.array(picks).T].tolist()
+    return scores.tolist(), ids[picks].tolist()
 
 
 def score_box(bundle: FeatureBundle, weights: ModelWeights, detector, box_index):

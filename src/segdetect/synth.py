@@ -57,6 +57,12 @@ class SynthConfig:
         if self.width * self.height >= MAX_PIXELS:
             raise InputError(f"width * height must be below 2**31, got "
                              f"{self.width}x{self.height}")
+        # the generator holds every box and segment, so a world too big for
+        # memory is refused here instead of allocated until memory runs out
+        per_image = max(self.boxes_per_image, self.segments_per_image, 1)
+        if self.n_images * per_image >= 2 ** 31:
+            raise InputError(f"n_images * max(boxes_per_image, segments_per_image, 1) "
+                             f"must be below 2**31, got {self.n_images} x {per_image}")
 
 
 def _logit(x):

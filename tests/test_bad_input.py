@@ -204,6 +204,36 @@ def test_test_manifest_keeps_its_own_scores_and_checks_every_line(world, tmp_pat
     assert re.search(rf"seg_scores\.csv:{n}: .*non-finite", err), err
 
 
+def test_test_manifest_builds_only_its_own_masks_and_checks_every_run(world, tmp_path,
+                                                                     capsys, monkeypatch):
+    """The split manifests share one masks file; each builds only its images' masks."""
+    from segdetect.masks import SegmentMask
+    built = []
+    init = SegmentMask.__init__
+
+    def counted(self, image_id, *args):
+        built.append(image_id)
+        init(self, image_id, *args)
+
+    monkeypatch.setattr(SegmentMask, "__init__", counted)
+    dataset = Dataset(read_manifest(world / "manifest_test.txt"), min_segment_pixels=0)
+    lines = (world / "masks.txt").read_text().splitlines()
+    assert sorted(built) == sorted(line.split()[0] for line in lines
+                                   if line.split()[0] in dataset.images)
+    assert len(built) < len(lines)
+    monkeypatch.undo()
+    root = tmp_path / "w"
+    shutil.copytree(world, root)
+    n = max(k for k, line in enumerate(lines, 1)
+            if line.split()[0] not in dataset.images)
+    (root / "masks.txt").write_text(_set_field(n, 4, "10:2,0:2", None)("\n".join(lines)))
+    assert main(["train", "--manifest", str(root / "manifest_test.txt"),
+                 "--config", str(root / "config.txt"),
+                 "--out", str(tmp_path / "model.txt")]) == 2
+    err = capsys.readouterr().err
+    assert re.search(rf"masks\.txt:{n}: bad run \(0,2\)", err), err
+
+
 @pytest.mark.filterwarnings("error")
 def test_overflowing_regressor_exits_3_without_traceback(world, tmp_path, capsys):
     """Finite weights of 1e308 overflow the targets: a numerical error, not a crash."""
@@ -343,7 +373,10 @@ BAD_SYNTH = [("width", "--width", "5"), ("height", "--height", "5"),
              ("seed", "--seed", "-1"), ("seg_noise", "--seg-noise", "-0.5"),
              ("feature_noise", "--feat-noise", "nan"),
              # 40000000 x 64 pixels is past the 2**31 a mask may hold
-             ("width * height", "--width", "40000000")]
+             ("width * height", "--width", "40000000"),
+             # 2**28 images of 8 boxes is 2**31 boxes
+             ("n_images * max(boxes_per_image, segments_per_image, 1)", "--images",
+              str(2 ** 28))]
 
 
 @pytest.mark.parametrize("field,flag,value", BAD_SYNTH,

@@ -7,8 +7,8 @@ from conftest import make_bundle, random_boxes, random_masks, segment_contributi
 from segdetect.boxes import Box
 from segdetect.errors import InputError
 from segdetect.masks import SegmentMask
-from segdetect.model import (Detection, ModelWeights, detect_image, load_model,
-                             nms, read_detections, save_model, score_box,
+from segdetect.model import (SCORE_CHUNK_FLOATS, Detection, ModelWeights, detect_image,
+                             load_model, nms, read_detections, save_model, score_box,
                              score_boxes, select_segment, write_detections)
 from segdetect.segfeat import GridSpec, assemble_block, block_length
 
@@ -199,6 +199,87 @@ def test_score_boxes_equals_per_box_scoring_exactly(rng):
                 assert list(zip(scores, chosen)) == expected
     assert score_boxes(*no_boxes, 1) == ([], [])
     assert score_boxes(zero_bundle, zero_weights, 3) == ([0.0] * 4, [[None] * 3] * 4)
+
+
+def test_score_boxes_across_chunks_at_20_classes_matches_reference_exactly(rng):
+    """400 boxes x 8 segments x 20 classes is three chunks of at most 182 boxes.
+
+    Segment 1 copies segment 0 and its scores, so the two tie wherever one
+    of them is best, and segment 0 must win.  Their high scores make that
+    common.
+    """
+    n_classes, n_boxes = 20, 400
+    masks = random_masks(rng, 7, 12, 12)
+    masks = [SegmentMask(m.image_id, s, m.height, m.width, m.runs)
+             for s, m in enumerate([masks[0], *masks])]
+    raw = rng.normal(0, 2, (8, n_classes))
+    raw[:2] = 8.0
+    bundle = make_bundle("img", 12, 12, random_boxes(rng, n_boxes, 12, 12), masks, raw,
+                         rng.normal(0, 1, (n_boxes, 4)), rng.normal(0, 1, (n_boxes, 3)),
+                         2, -0.7)
+    weights = random_weights(rng, n_classes, 2, 4, 3)
+    assert n_boxes > 2 * (SCORE_CHUNK_FLOATS // (n_classes * (bundle.n_segs + 1)))
+    subset = [int(b) for b in rng.permutation(n_boxes)[:300]]
+    for detector in (1, 20):
+        expected = [reference_score(bundle, weights, detector, b) for b in range(n_boxes)]
+        scores, chosen = score_boxes(bundle, weights, detector)
+        assert list(zip(scores, chosen)) == expected
+        scores, chosen = score_boxes(bundle, weights, detector, np.array(subset))
+        assert list(zip(scores, chosen)) == [expected[b] for b in subset]
+        picked = {seg for segs in chosen for seg in segs}
+        assert {None, 0} <= picked and 1 not in picked
+
+    bundle, weights = tie_instance(rng, n_classes)
+    for detector in range(1, n_classes + 1):
+        scores, chosen = score_boxes(bundle, weights, detector)
+        assert list(zip(scores, chosen)) == \
+            [reference_score(bundle, weights, detector, b) for b in range(3)]
+        assert 1 not in {seg for segs in chosen for seg in segs}
+
+
+def test_score_boxes_working_memory_is_bounded_by_the_chunk(rng):
+    """500 boxes x 50 segments x 20 classes: at most 1 MB above the output.
+
+    Unchunked, the call peaked about 12 MB above it.
+    """
+    import tracemalloc
+    from segdetect.model import FeatureBundle
+    n_boxes, n_segs, n_classes, grid_k = 500, 50, 20, 3
+    L = block_length(grid_k)
+    bundle = FeatureBundle("img", 500, 375, list(range(n_boxes)), [None] * n_boxes,
+                           rng.normal(0, 1, (n_boxes, 16)), rng.normal(0, 1, (n_boxes, 8)),
+                           list(range(n_segs)), rng.random((n_boxes, n_segs, L)),
+                           rng.random((n_segs, n_classes)))
+    weights = random_weights(rng, n_classes, grid_k, 16, 8)
+    tracemalloc.start()
+    try:
+        out = score_boxes(bundle, weights, 1)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out[0]) == n_boxes
+    assert peak - current <= 2 ** 20, (peak - current) / 2 ** 20
+
+
+@pytest.mark.parametrize("n,segs,L,C", [(8, 4, 11, 20), (500, 50, 21, 20), (3, 0, 11, 3)])
+def test_stacked_products_round_as_per_box_products(n, segs, L, C):
+    """The numpy/BLAS dispatch score_boxes' bit-exactness rests on.
+
+    A stacked (segs, L) @ (L, 1) product is the same gemv as a (segs, L)
+    block times a 1-D vector, and a stacked (1, d) @ (d, 1) the same dot as
+    two 1-D vectors.  If a numpy or BLAS upgrade changes the golden hashes,
+    this test names the cause.
+    """
+    rng = np.random.default_rng(n + segs)
+    blocks = rng.normal(0, 1, (n, segs, L + 1))[..., :-1]    # strided, as seg_base is
+    W = rng.normal(0, 1, (C, L))
+    for b in (blocks, np.ascontiguousarray(blocks)):
+        stacked = (b[:, None] @ W[:, :, None])[..., 0]
+        assert np.array_equal(stacked, np.stack([b @ w for w in W], 1))
+    for d in (L, 16, 8):
+        rows, v = rng.normal(0, 1, (n, d)), rng.normal(0, 1, d)
+        stacked = (rows[:, None] @ v[:, None])[:, 0, 0]
+        assert np.array_equal(stacked, np.array([r @ v for r in rows]))
 
 
 def test_build_bundle_decodes_each_mask_at_most_twice(tmp_path, monkeypatch):
