@@ -4,7 +4,7 @@ Targets use the usual center/size parameterization: normalized center shifts
 and log size ratios between proposal and ground truth.  Features for moved
 boxes are re-extracted only when the box changed by more than the threshold
 (1 - IoU), which is the expensive part on real features.  Segment blocks
-are rebuilt once, after the last pass.
+are rebuilt once, for every final box, after the last pass.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ def fit_regressor(pairs_by_class, d_reg, ridge) -> BoxRegressor:
     return reg
 
 
-def collect_training_pairs(dataset, pair_iou=0.6):
+def collect_training_pairs(dataset, pair_iou):
     """Proposal/GT pairs per class from boxes overlapping same-class GT enough."""
     if dataset.regression is None:
         raise InputError("manifest declares no regression feature file")
@@ -131,17 +131,15 @@ class IterationStats:
 
 
 def iterate_boxes(bundle, regressor: BoxRegressor, weights, detector,
-                  reg_features, feature_provider, max_iters=2,
-                  change_thresh=0.2):
+                  reg_features, feature_provider, max_iters, change_thresh):
     """Alternate regression and rescoring for one image and one detector class.
 
     reg_features: (n_boxes, d_reg) rows aligned with bundle boxes.
     Up to max_iters passes move every box with the regressor.
     feature_provider(image_id, box) -> (app_row, ctx_row, reg_row) is called
     only for boxes whose change exceeds change_thresh.  The passes never read
-    segment blocks, so after them the blocks are rebuilt once, only for the
-    boxes whose rounded corners moved: a block depends on nothing else.
-    The input bundle is not modified.  Returns (detections, stats).
+    segment blocks, so after them the blocks of every final box are rebuilt
+    in one call.  The input bundle is not modified.  Returns (detections, stats).
     """
     boxes = list(bundle.boxes)
     appearance, context = bundle.appearance.copy(), bundle.context.copy()
@@ -167,11 +165,8 @@ def iterate_boxes(bundle, regressor: BoxRegressor, weights, detector,
         stats.changed_fraction.append(changed / len(boxes) if boxes else 0.0)
         if changed == 0:
             break
-    moved = [b for b, box in enumerate(boxes)
-             if box.rounded() != bundle.boxes[b].rounded()]
-    seg_base = bundle.seg_base.copy()
-    seg_base[moved] = segment_blocks([boxes[b] for b in moved], bundle.segments,
-                                     weights.grid_k, weights.lam, bundle.largest_area)
+    seg_base = segment_blocks(boxes, bundle.segments, weights.grid_k, weights.lam,
+                              bundle.largest_area)
     refined = replace(bundle, boxes=boxes, appearance=appearance, context=context,
                       seg_base=seg_base)
     detections = []

@@ -152,7 +152,7 @@ def read_blocks(path, magic, header_keys, block_key, row_keys):
 
 def _inside(sizes, image_id, box):
     """Reject a box that leaves its image; sizes maps image_id -> (w, h)."""
-    size = sizes.get(image_id) if sizes else None
+    size = sizes.get(image_id)
     if size and not (0 <= box.x1 and 0 <= box.y1
                      and box.x2 <= size[0] - 1 and box.y2 <= size[1] - 1):
         raise ValueError(f"{box} lies outside the {size[0]}x{size[1]} image {image_id}")
@@ -179,7 +179,7 @@ def write_boxes_file(path, rows):
                           float(b.y2)) for image_id, box_id, b in rows))
 
 
-def read_boxes_file(path, sizes=None):
+def read_boxes_file(path, sizes):
     """[(image_id, box_id, Box)]; boxes of images in sizes must lie inside them.
 
     Box ids are unique within an image.
@@ -203,19 +203,18 @@ def _runs(text):
     return [(int(start), int(length)) for start, length in pairs]
 
 
-def read_masks_file(path, sizes=None, reject_empty=False):
-    """[SegmentMask] of the images in sizes (of every image without sizes).
+def read_masks_file(path, sizes, min_pixels):
+    """[SegmentMask] of the images in sizes that hold at least min_pixels pixels.
 
-    Every line is checked, but only the returned masks are built.  Their
-    dims must match sizes and, with reject_empty, they need at least one
-    pixel.  Segment ids are unique within an image.
+    Every line is checked, but only masks of images in sizes are built.
+    Their dims must match sizes and, with min_pixels 0, they need at least
+    one pixel: an empty mask has no features.  Segment ids are unique within
+    an image.
     """
     seen = set()
 
     def mask(image_id, segment_id, height, width, runs):
         _once(seen, (image_id, segment_id), f"segment id {segment_id} in image {image_id}")
-        if sizes is None:
-            return SegmentMask(image_id, segment_id, height, width, runs)
         size = sizes.get(image_id)
         if size is None:
             check_runs(image_id, segment_id, height, width, runs)
@@ -223,9 +222,10 @@ def read_masks_file(path, sizes=None, reject_empty=False):
         if size != (width, height):
             raise ValueError(f"mask dims {height}x{width} differ from image "
                              f"{image_id} dims {size[1]}x{size[0]}")
-        if reject_empty and not runs:
+        if min_pixels <= 0 and not runs:
             raise ValueError(f"segment {segment_id} of {image_id} is empty")
-        return SegmentMask(image_id, segment_id, height, width, runs)
+        built = SegmentMask(image_id, segment_id, height, width, runs)
+        return built if built.pixel_count >= min_pixels else None
     masks = read_records(path, (str, int, int, int, _runs), mask, sep=None)
     return [m for m in masks if m is not None]
 
@@ -243,10 +243,10 @@ def _difficult(tok):
     return tok == "1"
 
 
-def read_gt_file(path, sizes=None, n_classes=None):
+def read_gt_file(path, sizes, n_classes):
     """[(image_id, class_id, Box, difficult)]; as read_boxes_file for sizes.
 
-    With n_classes, class ids must lie in 1..n_classes.
+    Class ids must lie in 1..n_classes.
     """
     return read_records(
         path, (str, int, finite, finite, finite, finite, _difficult),
@@ -260,10 +260,10 @@ def write_seg_scores_file(path, rows):
     write_records(path, rows)
 
 
-def read_seg_scores_file(path, n_classes=None):
+def read_seg_scores_file(path, n_classes):
     """[(image_id, segment_id, class_id, score)], one row per key at most.
 
-    With n_classes, class ids must lie in 1..n_classes.
+    Class ids must lie in 1..n_classes.
     """
     seen = set()
 
@@ -369,7 +369,7 @@ class Dataset:
     so train/test manifests over disjoint image subsets can share files.
     """
 
-    def __init__(self, manifest: Manifest, min_segment_pixels=1500):
+    def __init__(self, manifest: Manifest, min_segment_pixels):
         self.class_names = list(manifest.class_names)
         self.n_classes = len(self.class_names)
         self.image_order = [image_id for image_id, _, _ in manifest.images]
@@ -388,11 +388,9 @@ class Dataset:
             rec.rows.append(row_idx)
         n_feature_rows = len(box_rows)
 
-        # a threshold of 0 would keep empty masks, which have no features
         for mask in read_masks_file(manifest.resolve(manifest.masks_file), sizes,
-                                    reject_empty=min_segment_pixels <= 0):
-            if mask.pixel_count >= min_segment_pixels:
-                self.images[mask.image_id].masks.append(mask)
+                                    min_segment_pixels):
+            self.images[mask.image_id].masks.append(mask)
         for rec in self.images.values():
             rec.masks.sort(key=lambda m: m.segment_id)
 

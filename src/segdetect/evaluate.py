@@ -77,8 +77,7 @@ def average_precision(curve: PRCurve, eleven_point=False) -> float:
                                                    len(curve.recall) else 0.0]])
     precision = np.concatenate([[0.0], curve.precision, [0.0]])
     # monotone envelope: precision at recall >= r
-    for i in range(len(precision) - 2, -1, -1):
-        precision[i] = max(precision[i], precision[i + 1])
+    precision = np.maximum.accumulate(precision[::-1])[::-1]
     if eleven_point:
         points = [precision[np.searchsorted(recall, r)]
                   if r <= recall[-1] else 0.0

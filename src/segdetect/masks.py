@@ -26,8 +26,6 @@ class SegmentMask:
     """
 
     def __init__(self, image_id, segment_id, height, width, runs):
-        if isinstance(runs, np.ndarray):
-            runs = runs.tolist()
         count = check_runs(image_id, segment_id, height, width, runs)
         self.image_id = image_id
         self.segment_id = segment_id

@@ -133,7 +133,7 @@ def segment_blocks(boxes, masks, grid_k, lam, m) -> np.ndarray:
     """(n_boxes, n_segs, L) class-independent blocks, segclass slot segclass_feat(0.0) = 0.5.
 
     The one block-extraction loop: build_bundle runs it on every box, and
-    iterate_boxes on the boxes it moved.  m is the largest segment's area.
+    iterate_boxes on every refined box.  m is the largest segment's area.
     Each segment's summed-area table is a local, built only when there are
     boxes and dropped after that segment, so no mask keeps one.  Nothing reads
     that 0.5: score_boxes drops it, and _fill_rows and featdump overwrite it.
@@ -260,8 +260,7 @@ def nms(boxes, scores, box_ids, iou_thresh):
     return kept
 
 
-def detect_image(bundle: FeatureBundle, weights: ModelWeights,
-                 nms_iou=0.3, top_k=100):
+def detect_image(bundle: FeatureBundle, weights: ModelWeights, nms_iou, top_k):
     """Score every box with every detector, then per-class NMS."""
     detections = []
     for detector in range(1, weights.n_classes + 1):

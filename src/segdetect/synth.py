@@ -159,13 +159,12 @@ class SynthWorld:
         w = gt.x2 - gt.x1 + 1
         h = gt.y2 - gt.y1 + 1
         dx, dy, dw, dh = rng.normal(0.0, amount, 4)
-        jittered = Box(gt.x1 + dx * w, gt.y1 + dy * h,
-                       gt.x2 + dx * w + dw * w, gt.y2 + dy * h + dh * h)
-        lo_x = min(jittered.x1, jittered.x2)
-        hi_x = max(jittered.x1, jittered.x2)
-        lo_y = min(jittered.y1, jittered.y2)
-        hi_y = max(jittered.y1, jittered.y2)
-        return clip_box(Box(lo_x, lo_y, hi_x, hi_y),
+        # a large size draw can invert the box, so order each axis's corners
+        # first; min and max return the first corner if an inf - inf made the
+        # second one NaN
+        x1, x2 = gt.x1 + dx * w, gt.x2 + dx * w + dw * w
+        y1, y2 = gt.y1 + dy * h, gt.y2 + dy * h + dh * h
+        return clip_box(Box(min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2)),
                         self.cfg.width, self.cfg.height)
 
     def _erode(self, rng, gt: Box, amount):

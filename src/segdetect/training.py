@@ -24,7 +24,7 @@ from .model import FeatureBundle, ModelWeights, build_bundle, score_box, score_b
 log = logging.getLogger(__name__)
 
 
-def assign_labels(boxes, gt_boxes, pos_iou=0.5, neg_iou=0.3):
+def assign_labels(boxes, gt_boxes, pos_iou, neg_iou):
     """Per-box labels against one class's ground truth.
 
     +1 when the best same-class IoU reaches pos_iou, -1 when it stays below

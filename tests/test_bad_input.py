@@ -187,7 +187,7 @@ def test_test_manifest_keeps_its_own_scores_and_checks_every_line(world, tmp_pat
                                                                    capsys):
     """The split manifests share one scores file; each keeps only its images'."""
     dataset = Dataset(read_manifest(world / "manifest_test.txt"), min_segment_pixels=0)
-    rows = read_seg_scores_file(world / "seg_scores.csv")
+    rows = read_seg_scores_file(world / "seg_scores.csv", dataset.n_classes)
     own = {(image_id, seg, c): score for image_id, seg, c, score in rows
            if image_id in dataset.images}
     assert dataset.seg_scores == own and len(own) < len(rows)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_bundle, random_boxes, random_masks
-from segdetect import model, segfeat
+from segdetect import bboxreg
 from segdetect.bboxreg import (BoxRegressor, ClassRegressor, apply_targets,
                                box_change, fit_class_regressor, fit_regressor,
                                iterate_boxes, regression_targets)
@@ -131,7 +131,7 @@ def test_iterate_names_the_image_of_a_non_finite_box(rng):
     bundle, weights, reg = _iteration_setup(rng, [1e308] * 4)
     reg.per_class[1].weights[:] = 1e308
     with pytest.raises(NumericalError, match="image 'img': class 1"):
-        iterate_boxes(bundle, reg, weights, 1, np.ones((2, 2)), None)
+        iterate_boxes(bundle, reg, weights, 1, np.ones((2, 2)), None, 2, 0.2)
 
 
 def _iteration_setup(rng, intercepts):
@@ -147,21 +147,19 @@ def _iteration_setup(rng, intercepts):
     return bundle, weights, reg
 
 
-def test_iterate_identity_regressor_stops_after_one_pass(rng, monkeypatch):
+def test_iterate_identity_regressor_stops_after_one_pass(rng):
     bundle, weights, reg = _iteration_setup(rng, [0.0, 0.0, 0.0, 0.0])
-    calls, tables = [], []
-    monkeypatch.setattr(model, "summed_area", tables.append)
+    calls = []
 
     def provider(image_id, box):
         calls.append(box)
         return np.zeros(4), np.zeros(3), np.zeros(2)
 
     dets, stats = iterate_boxes(bundle, reg, weights, 1, np.zeros((2, 2)),
-                                provider, max_iters=5)
+                                provider, max_iters=5, change_thresh=0.2)
     assert stats.changed_fraction == [0.0]
     assert stats.provider_calls == 0 and not calls
     assert [d.box for d in dets] == bundle.boxes
-    assert not tables                   # no box moved, so no table was built
 
 
 def test_iterate_provider_called_only_for_big_moves(rng):
@@ -203,7 +201,7 @@ def test_iterate_provider_failure_raises(rng):
         raise KeyError(box)
 
     with pytest.raises(ProviderError):
-        iterate_boxes(bundle, reg, weights, 1, np.zeros((2, 2)), provider)
+        iterate_boxes(bundle, reg, weights, 1, np.zeros((2, 2)), provider, 2, 0.2)
 
 
 def test_iterate_does_not_mutate_input_bundle(rng):
@@ -214,27 +212,27 @@ def test_iterate_does_not_mutate_input_bundle(rng):
     def provider(image_id, box):
         return np.ones(4), np.ones(3), np.zeros(2)
 
-    dets, _ = iterate_boxes(bundle, reg, weights, 1, np.zeros((2, 2)), provider)
+    dets, _ = iterate_boxes(bundle, reg, weights, 1, np.zeros((2, 2)), provider, 2, 0.2)
     assert [d.box for d in dets] != before_boxes
     assert bundle.boxes == before_boxes
     for array, copy in zip((bundle.appearance, bundle.context, bundle.seg_base), before):
         np.testing.assert_array_equal(array, copy)
 
 
-def test_iterate_extracts_blocks_once_per_moved_box(rng, monkeypatch):
+def test_iterate_extracts_blocks_once_for_every_final_box(rng, monkeypatch):
     # both passes shift box 0 by 0.2 widths and box 1 by 0.01 widths, which
     # moves box 1 but leaves its rounded corners where they were
     bundle, weights, reg = _iteration_setup(rng, [0.0, 0.0, 0.0, 0.0])
     reg.per_class[1].weights[:2, 0] = 1.0
     reg_rows = np.array([[0.2, 0.0], [0.01, 0.0]])
-    box_sums = segfeat._box_sums
+    segment_blocks = bboxreg.segment_blocks
     calls = []
 
-    def counted(*args):
-        calls.append(args[0])
-        return box_sums(*args)
+    def counted(boxes, *args):
+        calls.append(list(boxes))
+        return segment_blocks(boxes, *args)
 
-    monkeypatch.setattr(segfeat, "_box_sums", counted)
+    monkeypatch.setattr(bboxreg, "segment_blocks", counted)
 
     def provider(image_id, box):
         return np.zeros(4), np.zeros(3), reg_rows[0]
@@ -243,10 +241,9 @@ def test_iterate_extracts_blocks_once_per_moved_box(rng, monkeypatch):
                                 max_iters=2, change_thresh=0.0)
     assert stats.changed_fraction == [0.5, 0.5]
     assert all(d.box != box for d, box in zip(dets, bundle.boxes))
-    moved = [d.box for d, box in zip(dets, bundle.boxes)
-             if d.box.rounded() != box.rounded()]
-    assert moved == [dets[0].box]
-    assert len(calls) == bundle.n_segs * len(moved) and set(calls) == set(moved)
+    assert dets[0].box.rounded() != bundle.boxes[0].rounded()
+    assert dets[1].box.rounded() == bundle.boxes[1].rounded()
+    assert calls == [[d.box for d in dets]]
 
 
 def _rows_at(box, d_app, d_ctx, d_reg):

@@ -57,7 +57,7 @@ def test_boxes_roundtrip(tmp_path):
     rows = [("img0", 0, Box(0.0, 1.5, 9.25, 9.0)), ("img1", 3, Box(2, 2, 4, 4))]
     path = tmp_path / "boxes.csv"
     write_boxes_file(path, rows)
-    assert read_boxes_file(path) == rows
+    assert read_boxes_file(path, {"img0": (11, 10), "img1": (5, 5)}) == rows
     # an int Box is written with float coordinates
     assert path.read_text() == "img0,0,0.0,1.5,9.25,9.0\nimg1,3,2.0,2.0,4.0,4.0\n"
 
@@ -72,7 +72,7 @@ def test_boxes_bad_line_positioned(tmp_path, line, err):
     path = tmp_path / "boxes.csv"
     path.write_text("ok,0,0.0,0.0,5.0,5.0\n" + line + "\n")
     with pytest.raises(InputError, match=r":2:"):
-        read_boxes_file(path)
+        read_boxes_file(path, {"ok": (6, 6)})
 
 
 def test_masks_roundtrip(tmp_path, rng):
@@ -83,8 +83,9 @@ def test_masks_roundtrip(tmp_path, rng):
     masks.append(SegmentMask("img9", 8, 6, 6, []))   # empty mask -> "-"
     path = tmp_path / "masks.txt"
     write_masks_file(path, masks)
-    back = read_masks_file(path)
-    assert len(back) == len(masks)
+    assert path.read_text().endswith("\nimg9 8 6 6 -\n")
+    back = read_masks_file(path, {"img0": (12, 10), "img1": (12, 10), "img9": (6, 6)}, 1)
+    assert len(back) == len(masks) - 1      # the empty mask holds under 1 pixel
     for a, b in zip(back, masks):
         assert (a.image_id, a.segment_id, a.height, a.width, a.runs.tolist()) == \
             (b.image_id, b.segment_id, b.height, b.width, b.runs.tolist())
@@ -94,21 +95,44 @@ def test_masks_bad_rle_positioned(tmp_path):
     path = tmp_path / "masks.txt"
     path.write_text("img 0 4 4 0:4\nimg 1 4 4 3:5,0:2\n")
     with pytest.raises(InputError, match=r":2:"):
-        read_masks_file(path)
+        read_masks_file(path, {"img": (4, 4)}, 0)
 
 
 def test_masks_too_large_for_int32_counts_positioned(tmp_path):
     path = tmp_path / "masks.txt"
     path.write_text("img 0 4 4 0:4\nimg 1 65536 32768 -\n")     # 2**31 pixels
     with pytest.raises(InputError, match=r"masks\.txt:2: .*65536x32768"):
-        read_masks_file(path)
+        read_masks_file(path, {}, 0)
+
+
+@pytest.mark.parametrize("lines,min_pixels,expect", [
+    (["a 0 4 4 0:4", "a 1 4 4 -"], 0, ":2: segment 1 of a is empty"),
+    (["a 0 4 4 0:4", "a 1 4 4 -"], 1, [0]),
+    (["a 0 4 4 0:4", "b 0 4 4 -", "b 1 4 4 3:5,0:2"], 1, ":3: bad run"),
+    (["a 0 4 4 0:4", "a 1 4 4 0:3", "a 2 4 4 2:5", "b 0 4 4 -"], 4, [0, 2]),
+], ids=["empty-fails-at-min-0", "empty-dropped-at-min-1", "bad-run-outside-sizes",
+        "under-min-dropped"])
+def test_masks_keep_rule(tmp_path, lines, min_pixels, expect):
+    """Every line is checked; only image a's masks of min_pixels or more come back.
+
+    With min_pixels 0 an empty mask of image a is an error; image b is not in
+    sizes, so its empty mask is fine but its bad run is not.
+    """
+    path = tmp_path / "masks.txt"
+    path.write_text("\n".join(lines) + "\n")
+    if isinstance(expect, str):
+        with pytest.raises(InputError, match=r"masks\.txt" + expect):
+            read_masks_file(path, {"a": (4, 4)}, min_pixels)
+    else:
+        kept = read_masks_file(path, {"a": (4, 4)}, min_pixels)
+        assert [m.segment_id for m in kept] == expect
 
 
 def test_gt_roundtrip(tmp_path):
     gts = [("a", 1, Box(0, 0, 9, 9), False), ("b", 2, Box(1, 1, 5, 5), True)]
     path = tmp_path / "gt.csv"
     write_gt_file(path, gts)
-    assert read_gt_file(path) == gts
+    assert read_gt_file(path, {"a": (10, 10), "b": (6, 6)}, 2) == gts
     assert path.read_text() == "a,1,0.0,0.0,9.0,9.0,0\nb,2,1.0,1.0,5.0,5.0,1\n"
 
 
@@ -116,21 +140,21 @@ def test_gt_rejects_bad_difficult_flag(tmp_path):
     path = tmp_path / "gt.csv"
     path.write_text("a,1,0.0,0.0,9.0,9.0,2\n")
     with pytest.raises(InputError, match="difficult"):
-        read_gt_file(path)
+        read_gt_file(path, {"a": (10, 10)}, 1)
 
 
 def test_seg_scores_roundtrip(tmp_path):
     rows = [("a", 0, 1, -2.5), ("a", 0, 2, 0.125), ("b", 3, 1, 100.0)]
     path = tmp_path / "scores.csv"
     write_seg_scores_file(path, rows)
-    assert read_seg_scores_file(path) == rows
+    assert read_seg_scores_file(path, 2) == rows
 
 
 def test_seg_scores_reject_inf(tmp_path):
     path = tmp_path / "scores.csv"
     path.write_text("a,0,1,inf\n")
     with pytest.raises(InputError, match="non-finite"):
-        read_seg_scores_file(path)
+        read_seg_scores_file(path, 1)
 
 
 def test_manifest_roundtrip(tmp_path):
@@ -291,3 +315,35 @@ def test_every_text_file_is_written_by_write_records():
                     for func, mode in _writing_opens(path))
     assert writes == [("dataset", "write_feature_matrix", "wb"),
                       ("dataset", "write_records", "w")]
+
+
+def _unused_imports(path):
+    """Names a module imports but never reads; `__future__` and `__all__` are exempt."""
+    imported, read, exported = set(), set(), set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            imported.update((alias.asname or alias.name).split(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__" for target in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    return sorted(imported - read - exported)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    src = Path(segdetect.__file__).parent
+    unused = {path.name: names for path in sorted(src.glob("*.py"))
+              if (names := _unused_imports(path))}
+    assert unused == {}
+
+
+def test_unused_import_guard_sees_what_a_module_leaves_unread(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("from __future__ import annotations\nimport os.path\n"
+                    "import numpy as np\nfrom .a import b, c as d, e\n"
+                    "__all__ = ['e']\n\ndef f():\n    import json\n"
+                    "    return np.zeros(d)\n")
+    assert _unused_imports(path) == ["b", "json", "os"]

@@ -143,7 +143,7 @@ def reference_score(bundle, weights, detector, box_index):
 def tie_instance(rng, n_classes=3):
     """Two identical segments with equal class scores, and a third one."""
     masks = random_masks(rng, 2, 12, 12)
-    masks = [SegmentMask(m.image_id, s, m.height, m.width, m.runs)
+    masks = [SegmentMask(m.image_id, s, m.height, m.width, m.runs.tolist())
              for s, m in enumerate([masks[0], masks[0], masks[1]])]
     boxes = random_boxes(rng, 3, 12, 12)
     raw = rng.normal(0, 2, (3, n_classes))
@@ -210,7 +210,7 @@ def test_score_boxes_across_chunks_at_20_classes_matches_reference_exactly(rng):
     """
     n_classes, n_boxes = 20, 400
     masks = random_masks(rng, 7, 12, 12)
-    masks = [SegmentMask(m.image_id, s, m.height, m.width, m.runs)
+    masks = [SegmentMask(m.image_id, s, m.height, m.width, m.runs.tolist())
              for s, m in enumerate([masks[0], *masks])]
     raw = rng.normal(0, 2, (8, n_classes))
     raw[:2] = 8.0

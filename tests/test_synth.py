@@ -1,9 +1,14 @@
+import contextlib
 import filecmp
+import io
 import os
+import tempfile
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segdetect.boxes import iou
 from segdetect.cli import main
@@ -145,3 +150,41 @@ def test_over_eroded_segment_falls_back_to_its_object(tmp_path):
     world = generate(SynthConfig(seed=0, n_images=20, seg_noise=1.0), str(tmp_path / "d"))
     assert any(rect == source for img in world.images
                for _, source, class_id, rect in img.segments if class_id)
+
+
+def _synth_then_train(out, *flags):
+    """Exit codes of `synth` with flags into out, then of `train` on its world."""
+    codes = [main(["synth", "--out", str(out), *flags])]
+    if codes[0] == 0:
+        codes.append(main(["train", "--manifest", os.path.join(out, "manifest.txt"),
+                           "--config", os.path.join(out, "config.txt"),
+                           "--out", os.path.join(out, "model.txt")]))
+    return codes
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")    # inf and NaN at 1e308
+@pytest.mark.parametrize("jitter", ["5", "1e308"])
+def test_large_box_jitter_orders_corners_instead_of_failing(tmp_path, jitter):
+    # at 5, a size draw below -1 widths puts x2 left of x1 (seed 0 draws
+    # several); at 1e308, draws overflow to inf and inf - inf to NaN
+    assert _synth_then_train(tmp_path / "w", "--images", "4", "--box-jitter", jitter) == [0, 0]
+    boxes = [line.split(",") for line in (tmp_path / "w" / "boxes.csv").read_text().split()]
+    assert all(float(x1) <= float(x2) and float(y1) <= float(y2)
+               for _, _, x1, y1, x2, y2 in boxes)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(seed=st.integers(0, 1000), images=st.integers(1, 3), boxes=st.integers(0, 10),
+       segments=st.integers(0, 6), width=st.integers(6, 40), height=st.integers(6, 40),
+       jitter=st.floats(0, 50), noise=st.floats(0, 50))
+def test_fuzzed_synth_flags_exit_cleanly_through_train(seed, images, boxes, segments,
+                                                       width, height, jitter, noise):
+    """Tiny worlds: synth, then train, exit 0, 2 or 3 and never raise."""
+    flags = ["--seed", seed, "--images", images, "--boxes", boxes, "--segments", segments,
+             "--width", width, "--height", height, "--box-jitter", repr(jitter),
+             "--seg-noise", repr(noise)]
+    with tempfile.TemporaryDirectory() as tmp:
+        log = io.StringIO()
+        with contextlib.redirect_stdout(log), contextlib.redirect_stderr(log):
+            codes = _synth_then_train(tmp, *map(str, flags))
+    assert set(codes) <= {0, 2, 3}, log.getvalue()

@@ -62,7 +62,7 @@ def test_assign_labels_thresholds():
 
 
 def test_assign_labels_no_gt_all_negative():
-    labels = assign_labels([Box(0, 0, 4, 4), Box(5, 5, 9, 9)], [])
+    labels = assign_labels([Box(0, 0, 4, 4), Box(5, 5, 9, 9)], [], 0.5, 0.3)
     assert list(labels) == [-1, -1]
 
 
@@ -176,7 +176,7 @@ def test_cache_matrix_matches_per_box_oracle(n_classes, grid_k):
     for i in range(4):
         n_segs = 0 if i == 1 else int(rng.integers(1, 5))
         ids = sorted(rng.choice(50, n_segs, replace=False).tolist())
-        masks = [SegmentMask(m.image_id, seg_id, m.height, m.width, m.runs)
+        masks = [SegmentMask(m.image_id, seg_id, m.height, m.width, m.runs.tolist())
                  for m, seg_id in zip(random_masks(rng, n_segs, 11, 9), ids)]
         n_boxes = int(rng.integers(1, 6))
         bundles.append(make_bundle(
