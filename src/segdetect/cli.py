@@ -210,7 +210,7 @@ def _load_regressor(path):
 def cmd_eval(args):
     cfg = _load_config(args.config)
     dataset = _load_dataset(args.manifest, cfg)
-    detections = read_detections(args.detections, dataset.n_classes)
+    detections = read_detections(args.detections, dataset)
     gts = _gts_by_image(dataset)
     report = evaluate_detections(detections, gts, dataset.n_classes,
                                  cfg.eval_iou, cfg.eleven_point)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .boxes import Box
 from .errors import InputError
-from .masks import SegmentMask, check_runs
+from .masks import MAX_PIXELS, SegmentMask, check_runs
 
 FEATURE_MAGIC = b"SDMF"
 FEATURE_VERSION = 1
@@ -30,6 +30,8 @@ def write_feature_matrix(path, matrix):
     matrix = np.ascontiguousarray(matrix, dtype=np.float32)
     if matrix.ndim != 2:
         raise InputError(f"feature matrix must be 2-D, got shape {matrix.shape}")
+    if not np.isfinite(matrix).all():      # read_feature_matrix would reject it
+        raise InputError(f"{path}: feature matrix holds a value not finite in float32")
     with open(path, "wb") as f:
         f.write(FEATURE_MAGIC)
         f.write(struct.pack("<I", FEATURE_VERSION))
@@ -327,8 +329,9 @@ def read_manifest(path):
             classes.append(values[0])
         elif key == "image":
             width, height = int(values[1]), int(values[2])
-            if width < 1 or height < 1:
-                raise ValueError(f"image {values[0]} needs width and height >= 1")
+            if width < 1 or height < 1 or width * height >= MAX_PIXELS:
+                raise ValueError(f"image {values[0]} needs width and height >= 1, "
+                                 "and width * height below 2**31")
             images.append((values[0], width, height))
         elif f"{key}_file" in files:
             raise ValueError(f"repeated {key} line")

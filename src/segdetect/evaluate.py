@@ -14,37 +14,38 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import iou
+from .boxes import iou, iou_row, rounded_corners
 from .dataset import write_records
 from .errors import APUndefined
 
 TP, FP, IGNORED = 1, 0, -1
 
 
-def match_detections(dets, gts, iou_thresh=0.5):
-    """Flag each detection of one (class, image) pair as TP/FP/IGNORED.
+def match_detections(dets, gts_by_image, iou_thresh=0.5):
+    """Flag each detection of one class as TP/FP/IGNORED, in input order.
 
-    dets must be sorted by descending score (ties by box id); gts is a list of
-    (box, difficult).  Each detection greedily claims the highest-IoU unmatched
-    non-difficult ground truth at or above the threshold.
+    dets must be in global score order (descending score, ties by image
+    order, then box id); gts_by_image maps image_id -> [(box, difficult)] of
+    this class.  Each detection greedily claims the highest-IoU unclaimed
+    non-difficult ground truth of its own image at or above the threshold.
     """
-    taken = [False] * len(gts)
+    taken = {}      # image_id -> claimed flag per ground truth
     flags = []
     for det in dets:
-        best = -1
-        best_iou = 0.0
-        difficult_hit = False
+        gts = gts_by_image.get(det.image_id, [])
+        claimed = taken.setdefault(det.image_id, [False] * len(gts))
+        best, best_iou, difficult_hit = -1, 0.0, False
         for g, (gt_box, difficult) in enumerate(gts):
             ov = iou(det.box, gt_box)
             if ov < iou_thresh:
                 continue
             if difficult:
                 difficult_hit = True
-            elif not taken[g] and ov > best_iou:
+            elif not claimed[g] and ov > best_iou:
                 best_iou = ov
                 best = g
         if best >= 0:
-            taken[best] = True
+            claimed[best] = True
             flags.append(TP)
         elif difficult_hit:
             flags.append(IGNORED)
@@ -106,16 +107,18 @@ def evaluate_detections(detections, gts_by_image, n_classes, iou_thresh=0.5,
     """
     report = EvalReport()
     image_order = {img: i for i, img in enumerate(gts_by_image)}
+    ranked = sorted(detections, key=lambda d: (
+        d.class_id, -d.score, image_order.get(d.image_id, len(image_order)), d.box_id))
+    dets_of = {c: list(dets) for c, dets in itertools.groupby(ranked, lambda d: d.class_id)}
+    gts_of = {}     # class_id -> image_id -> [(box, difficult)]
+    for image_id, gts in gts_by_image.items():
+        for class_id, box, difficult in gts:
+            gts_of.setdefault(class_id, {}).setdefault(image_id, []).append((box, difficult))
     aps = []
     for class_id in range(1, n_classes + 1):
-        class_dets = sorted(
-            (d for d in detections if d.class_id == class_id),
-            key=lambda d: (-d.score, image_order.get(d.image_id, len(image_order)),
-                           d.box_id))
-        n_gt = sum(1 for gts in gts_by_image.values()
-                   for cid, _, difficult in gts
-                   if cid == class_id and not difficult)
-        flags = _match_across_images(class_dets, gts_by_image, class_id, iou_thresh)
+        gts = gts_of.get(class_id, {})
+        n_gt = sum(not difficult for image_gts in gts.values() for _, difficult in image_gts)
+        flags = match_detections(dets_of.get(class_id, []), gts, iou_thresh)
         curve = pr_curve(flags, n_gt)
         report.curves[class_id] = curve
         if n_gt == 0:
@@ -127,37 +130,16 @@ def evaluate_detections(detections, gts_by_image, n_classes, iou_thresh=0.5,
     return report
 
 
-def _match_across_images(class_dets, gts_by_image, class_id, iou_thresh):
-    """Greedy matching per image, flags aligned with the global score order.
-
-    A detection only claims ground truth of its own image, so matching each
-    image's detections apart, in score order, gives the same flags.
-    """
-    by_image = {}
-    for i, det in enumerate(class_dets):
-        by_image.setdefault(det.image_id, []).append(i)
-    flags = {}
-    for image_id, indices in by_image.items():
-        gts = [(g, difficult) for cid, g, difficult in gts_by_image.get(image_id, [])
-               if cid == class_id]
-        flags.update(zip(indices, match_detections(
-            [class_dets[i] for i in indices], gts, iou_thresh)))
-    return [flags[i] for i in range(len(class_dets))]
-
-
 def average_best_overlap(candidates_by_image, gts_by_image, n_classes):
     """Per-class mean, over GT instances, of the best candidate IoU in the image."""
-    per_class = {}
-    for class_id in range(1, n_classes + 1):
-        best = []
-        for image_id, gts in gts_by_image.items():
-            candidates = candidates_by_image.get(image_id, [])
-            for cid, gt_box, difficult in gts:
-                if cid != class_id or difficult:
-                    continue
-                best.append(max((iou(c, gt_box) for c in candidates), default=0.0))
-        if best:
-            per_class[class_id] = float(np.mean(best))
+    best = {}       # class_id -> best overlap per non-difficult GT, in image order
+    for image_id, gts in gts_by_image.items():
+        corners = rounded_corners(candidates_by_image.get(image_id, []))
+        for class_id, gt_box, difficult in gts:
+            if not difficult and 1 <= class_id <= n_classes:
+                best.setdefault(class_id, []).append(
+                    float(iou_row(gt_box.rounded(), corners).max(initial=0.0)))
+    per_class = {c: float(np.mean(best[c])) for c in sorted(best)}
     mean = float(np.mean(list(per_class.values()))) if per_class else 0.0
     return per_class, mean
 

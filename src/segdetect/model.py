@@ -284,17 +284,22 @@ def write_detections(path, detections):
         for d in detections))
 
 
-def read_detections(path, n_classes=None):
+def read_detections(path, dataset=None):
     """Detections in file order; box_id is the record number, from 1.
 
-    With n_classes, class ids must lie in 1..n_classes.
+    With a Dataset, class ids must lie in 1..C and image ids must be its own.
     """
     box_ids = itertools.count(1)
+    n_classes = dataset.n_classes if dataset else None
+
+    def detection(image_id, class_id, score, x1, y1, x2, y2, segs):
+        if dataset and image_id not in dataset.images:
+            raise ValueError(f"detection of image {image_id}, which the manifest "
+                             "does not list")
+        return Detection(image_id, valid_class_id(n_classes, class_id, "detection"),
+                         next(box_ids), Box(x1, y1, x2, y2), score, segs)
     return read_records(
-        path, (str, int, finite, finite, finite, finite, finite, _segments),
-        lambda image_id, class_id, score, x1, y1, x2, y2, segs: Detection(
-            image_id, valid_class_id(n_classes, class_id, "detection"), next(box_ids),
-            Box(x1, y1, x2, y2), score, segs))
+        path, (str, int, finite, finite, finite, finite, finite, _segments), detection)
 
 
 def _segments(text):

@@ -224,10 +224,10 @@ class SynthWorld:
                 for row in range(y1, y2 + 1)]
         return SegmentMask(image_id, seg_id, self.cfg.height, self.cfg.width, runs)
 
+    @np.errstate(over="ignore")     # a value that overflows is refused before writing
     def write(self, out_dir):
         """Dump the world plus train/test split manifests and a matching config."""
         cfg = self.cfg
-        os.makedirs(out_dir, exist_ok=True)
         box_rows = []
         masks = []
         score_rows = []
@@ -256,13 +256,21 @@ class SynthWorld:
                         raw = _logit(0.05)
                     score_rows.append((img.image_id, seg_id, c,
                                        raw + cfg.score_noise * noise[c - 1]))
+        features = {name: np.array(rows, dtype=np.float32) for name, rows in
+                    (("app.feat", app_rows), ("ctx.feat", ctx_rows), ("reg.feat", reg_rows))}
+        if not all(np.isfinite(matrix).all() for matrix in features.values()):
+            raise InputError(f"feature_noise must be small enough for finite float32 "
+                             f"features, got {cfg.feature_noise}")
+        if not all(math.isfinite(row[3]) for row in score_rows):
+            raise InputError(f"score_noise must be small enough for finite segment "
+                             f"scores, got {cfg.score_noise}")
+        os.makedirs(out_dir, exist_ok=True)
         write_boxes_file(os.path.join(out_dir, "boxes.csv"), box_rows)
         write_masks_file(os.path.join(out_dir, "masks.txt"), masks)
         write_seg_scores_file(os.path.join(out_dir, "seg_scores.csv"), score_rows)
         write_gt_file(os.path.join(out_dir, "gt.csv"), gt_rows)
-        write_feature_matrix(os.path.join(out_dir, "app.feat"), np.array(app_rows))
-        write_feature_matrix(os.path.join(out_dir, "ctx.feat"), np.array(ctx_rows))
-        write_feature_matrix(os.path.join(out_dir, "reg.feat"), np.array(reg_rows))
+        for name, matrix in features.items():
+            write_feature_matrix(os.path.join(out_dir, name), matrix)
 
         class_names = [f"class{c}" for c in range(1, cfg.n_classes + 1)]
         all_images = [(img.image_id, cfg.width, cfg.height) for img in self.images]

@@ -76,8 +76,8 @@ def sgd_fit(X, y, w0, cfg, seed):
     feature magnitudes (the degenerate background normalizer can reach image
     area) do not force a tiny global learning rate.  Returns (weights,
     objective trace); the returned weights are the epoch-boundary iterate with
-    the lowest true objective, so the result never scores worse than w0 on
-    the cache.
+    the lowest true objective, min(trace), so the result never scores worse
+    than w0 on the cache.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -259,9 +259,7 @@ def train_class(bundles, labels_per_image, weights: ModelWeights, detector,
         w, trace = sgd_fit(X, y, _detector_weight_vector(weights, detector), cfg,
                            cfg.seed + detector)
         _store_detector_weights(weights, detector, w)
-        rounds.append(RoundLog(rnd, detector,
-                               hinge_objective(w, X, y, cfg.c_reg),
-                               trace[0], len(mined), changed))
+        rounds.append(RoundLog(rnd, detector, min(trace), trace[0], len(mined), changed))
         del X, y, mined     # before the next round builds its own
     return rounds
 

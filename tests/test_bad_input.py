@@ -110,6 +110,9 @@ CASES = [
      r"seg_scores\.csv:2: duplicate score for segment 0 of img0000, class 1"),
     ("image-zero-width", "manifest.txt", _replace("img0000 64 64", "img0000 0 64"),
      "iterate", r"manifest\.txt:\d+: .*width"),
+    # 2**31 pixels, the count a mask may not reach
+    ("image-2**31-pixels", "manifest.txt", _replace("img0000 64 64", "img0000 65536 32768"),
+     "iterate", r"manifest\.txt:5: image img0000 needs .*below 2\*\*31"),
     ("class-name-path-separator", "manifest.txt", _replace("class class1\n", "class a/b\n"),
      "iterate", r"manifest\.txt:2: .*a/b"),
     ("class-name-repeated", "manifest.txt", _replace("class class2\n", "class class1\n"),
@@ -151,6 +154,8 @@ CASES = [
      r"dets\.csv:1: .*non-finite"),
     ("detections-class-9", "dets.csv", _set_field(1, 1, "9"), "eval",
      r"dets\.csv:1: detection with invalid class id 9"),
+    ("detections-unknown-image", "dets.csv", _set_field(1, 0, "img9999"), "eval",
+     r"dets\.csv:1: detection of image img9999, which the manifest does not list"),
     ("iterate-without-regressor", None, None, "iterate-no-regressor", r"--regressor"),
     ("config-repeated-key", "config.txt", lambda text: text + "epochs 2\n", "iterate",
      r"config\.txt:\d+: .*epochs"),
@@ -232,6 +237,24 @@ def test_test_manifest_builds_only_its_own_masks_and_checks_every_run(world, tmp
                  "--out", str(tmp_path / "model.txt")]) == 2
     err = capsys.readouterr().err
     assert re.search(rf"masks\.txt:{n}: bad run \(0,2\)", err), err
+
+
+def test_huge_image_without_masks_exits_2_naming_the_manifest(world, tmp_path, capsys):
+    """An image with no masks escapes the mask dims check; its size bound still holds."""
+    root = tmp_path / "w"
+    shutil.copytree(world, root)
+    manifest = root / "manifest.txt"
+    manifest.write_text(_replace("img0000 64 64", f"img0000 {10 ** 22} 64")(
+        manifest.read_text()))
+    masks = root / "masks.txt"
+    masks.write_text("".join(line + "\n" for line in masks.read_text().splitlines()
+                             if not line.startswith("img0000 ")))
+    boxes = root / "boxes.csv"
+    boxes.write_text(_set_field(1, 4, "1e21")(boxes.read_text()))
+    assert main(["detect", "--manifest", str(manifest), "--config", str(root / "config.txt"),
+                 "--model", str(root / "model.txt"), "--out", str(root / "d.csv")]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"manifest\.txt:5: image img0000 needs .*below 2\*\*31", err), err
 
 
 @pytest.mark.filterwarnings("error")
@@ -372,6 +395,9 @@ BAD_SYNTH = [("width", "--width", "5"), ("height", "--height", "5"),
              ("box_jitter", "--box-jitter", "-1"), ("n_images", "--images", "0"),
              ("seed", "--seed", "-1"), ("seg_noise", "--seg-noise", "-0.5"),
              ("feature_noise", "--feat-noise", "nan"),
+             # finite, but past what a float32 feature or a float64 score holds
+             ("feature_noise", "--feat-noise", "1e39"),
+             ("score_noise", "--score-noise", "1e308"),
              # 40000000 x 64 pixels is past the 2**31 a mask may hold
              ("width * height", "--width", "40000000"),
              # 2**28 images of 8 boxes is 2**31 boxes

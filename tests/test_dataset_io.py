@@ -45,10 +45,18 @@ def test_feature_matrix_rejects_truncated(tmp_path, rng):
 
 
 def test_feature_matrix_rejects_nan(tmp_path):
+    """The writer refuses what the reader rejects; the reader checks a file written by hand."""
     path = tmp_path / "nan.feat"
-    mat = np.zeros((2, 2), dtype=np.float32)
-    mat[0, 0] = np.nan
-    write_feature_matrix(path, mat)
+    for bad in (np.nan, np.inf):
+        mat = np.zeros((2, 2), dtype=np.float32)
+        mat[0, 1] = bad
+        with pytest.raises(InputError, match="not finite in float32"):
+            write_feature_matrix(path, mat)
+        assert not path.exists()
+    write_feature_matrix(path, np.zeros((2, 2)))
+    blob = bytearray(path.read_bytes())
+    blob[24:28] = np.float32(np.nan).tobytes()
+    path.write_bytes(bytes(blob))
     with pytest.raises(InputError, match="NaN"):
         read_feature_matrix(path)
 
