@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .boxes import Box, clip_box, iou
-from .errors import InputError, InsufficientPairs, NumericalError, ProviderError
+from .errors import InsufficientPairs, NumericalError, ProviderError
 from .model import Detection, score_box, segment_blocks
 
 log = logging.getLogger(__name__)
@@ -109,8 +109,6 @@ def fit_regressor(pairs_by_class, d_reg, ridge) -> BoxRegressor:
 
 def collect_training_pairs(dataset, pair_iou):
     """Proposal/GT pairs per class from boxes overlapping same-class GT enough."""
-    if dataset.regression is None:
-        raise InputError("manifest declares no regression feature file")
     pairs = {}
     for image_id in dataset.image_order:
         rec = dataset.record(image_id)

@@ -26,18 +26,11 @@ from .synth import SynthConfig, generate
 from .training import train, write_training_log
 
 
-def _load_dataset(manifest_path, cfg: Config) -> Dataset:
-    return Dataset(read_manifest(manifest_path),
-                   min_segment_pixels=cfg.min_segment_pixels)
-
-
-def _load_config(path) -> Config:
-    return load_config(path) if path else Config()
-
-
-def _gts_by_image(dataset):
-    return {image_id: list(dataset.record(image_id).gts)
-            for image_id in dataset.image_order}
+def _load(args):
+    """(config, dataset) from the shared --config and --manifest flags."""
+    cfg = load_config(args.config) if args.config else Config()
+    return cfg, Dataset(read_manifest(args.manifest),
+                        min_segment_pixels=cfg.min_segment_pixels)
 
 
 # synth flag -> the SynthConfig field it sets, whose default it shows
@@ -56,8 +49,7 @@ def cmd_synth(args):
 
 
 def cmd_featdump(args):
-    cfg = _load_config(args.config)
-    dataset = _load_dataset(args.manifest, cfg)
+    cfg, dataset = _load(args)
 
     def rows():
         yield "image_id", "box_id", "segment_id", "class_id", "features"
@@ -92,8 +84,7 @@ def cmd_train(args):
     for path in (args.out, args.log):
         if path:
             _require_output_dir(path)
-    cfg = _load_config(args.config)
-    dataset = _load_dataset(args.manifest, cfg)
+    cfg, dataset = _load(args)
     result = train(dataset, cfg, use_seg=not args.no_seg)
     save_model(args.out, result.weights)
     if args.log:
@@ -103,8 +94,7 @@ def cmd_train(args):
 
 
 def cmd_detect(args):
-    cfg = _load_config(args.config)
-    dataset = _load_dataset(args.manifest, cfg)
+    cfg, dataset = _load(args)
     weights = _load_model_for(args.model, dataset)
     detections = []
     for image_id in dataset.image_order:
@@ -116,8 +106,9 @@ def cmd_detect(args):
 
 
 def cmd_regress(args):
-    cfg = _load_config(args.config)
-    dataset = _load_dataset(args.manifest, cfg)
+    cfg, dataset = _load(args)
+    if dataset.regression is None:
+        raise InputError(f"{args.manifest}: missing regression entry")
     if args.mode == "fit":
         pairs = collect_training_pairs(dataset, cfg.reg_pair_iou)
         d_reg = dataset.regression.shape[1]
@@ -130,8 +121,6 @@ def cmd_regress(args):
         raise InputError("regress iterate needs --model and --regressor")
     weights = _load_model_for(args.model, dataset)
     regressor = _load_regressor(args.regressor)
-    if dataset.regression is None:
-        raise InputError("manifest declares no regression feature file")
     if regressor.d_reg != dataset.regression.shape[1]:
         raise InputError(f"{args.regressor}: d_reg {regressor.d_reg} does not match "
                          f"the dataset's {dataset.regression.shape[1]}")
@@ -208,10 +197,10 @@ def _load_regressor(path):
 
 
 def cmd_eval(args):
-    cfg = _load_config(args.config)
-    dataset = _load_dataset(args.manifest, cfg)
+    cfg, dataset = _load(args)
     detections = read_detections(args.detections, dataset)
-    gts = _gts_by_image(dataset)
+    gts = {image_id: list(dataset.record(image_id).gts)
+           for image_id in dataset.image_order}
     report = evaluate_detections(detections, gts, dataset.n_classes,
                                  cfg.eval_iou, cfg.eleven_point)
     candidates = {image_id: list(dataset.record(image_id).boxes)
@@ -228,6 +217,10 @@ def cmd_eval(args):
 def build_parser():
     parser = argparse.ArgumentParser(prog="segdetect")
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--manifest", required=True)
+    shared.add_argument("--config")
+    shared.add_argument("--out", required=True)
 
     p = sub.add_parser("synth", help="generate a seeded synthetic dataset")
     p.add_argument("--out", required=True)
@@ -236,44 +229,30 @@ def build_parser():
         p.add_argument(flag, dest=name, type=type(default), default=default)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("featdump", help="dump segmentation feature blocks")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--config")
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("featdump", parents=[shared],
+                       help="dump segmentation feature blocks")
     p.set_defaults(func=cmd_featdump)
 
-    p = sub.add_parser("train", help="train detectors")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--config")
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("train", parents=[shared], help="train detectors")
     p.add_argument("--log")
     p.add_argument("--no-seg", action="store_true",
                    help="ablation: zero segmentation weights")
     p.add_argument("--threads", type=int, help="ignored: every run is single-threaded")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("detect", help="score all boxes and run NMS")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--config")
+    p = sub.add_parser("detect", parents=[shared], help="score all boxes and run NMS")
     p.add_argument("--model", required=True)
-    p.add_argument("--out", required=True)
     p.add_argument("--threads", type=int, help="ignored: every run is single-threaded")
     p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("regress", help="fit or apply the box regressor")
+    p = sub.add_parser("regress", parents=[shared], help="fit or apply the box regressor")
     p.add_argument("mode", choices=["fit", "iterate"])
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--config")
     p.add_argument("--model")
     p.add_argument("--regressor")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_regress)
 
-    p = sub.add_parser("eval", help="evaluate a detections dump")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--config")
+    p = sub.add_parser("eval", parents=[shared], help="evaluate a detections dump")
     p.add_argument("--detections", required=True)
-    p.add_argument("--out", required=True)
     p.add_argument("--curves", help="directory for per-class PR curve CSVs")
     p.set_defaults(func=cmd_eval)
     return parser

@@ -310,7 +310,7 @@ def write_manifest(path, manifest: Manifest):
 
 
 def read_manifest(path):
-    classes, images, files = [], [], {}
+    classes, images, files, image_ids = [], [], {}, set()
 
     def entry(key, *values):
         if key not in ("version", "class", "image", *_MANIFEST_FILES):
@@ -328,6 +328,7 @@ def read_manifest(path):
                                  "a path separator")
             classes.append(values[0])
         elif key == "image":
+            _once(image_ids, values[0], f"image id {values[0]}")
             width, height = int(values[1]), int(values[2])
             if width < 1 or height < 1 or width * height >= MAX_PIXELS:
                 raise ValueError(f"image {values[0]} needs width and height >= 1, "
@@ -378,8 +379,6 @@ class Dataset:
         self.image_order = [image_id for image_id, _, _ in manifest.images]
         self.images = {image_id: ImageRecord(image_id, w, h)
                        for image_id, w, h in manifest.images}
-        if len(self.images) != len(self.image_order):
-            raise InputError("duplicate image id in manifest")
         sizes = {image_id: (w, h) for image_id, w, h in manifest.images}
         box_rows = read_boxes_file(manifest.resolve(manifest.boxes_file), sizes)
         for row_idx, (image_id, box_id, box) in enumerate(box_rows):
@@ -409,18 +408,16 @@ class Dataset:
             if image_id in self.images:
                 self.images[image_id].gts.append((class_id, box, difficult))
 
-        self.appearance = read_feature_matrix(manifest.resolve(manifest.appearance_file))
-        self.context = read_feature_matrix(manifest.resolve(manifest.context_file))
-        self.regression = None
-        if manifest.regression_file:
-            self.regression = read_feature_matrix(
-                manifest.resolve(manifest.regression_file))
-        for name, mat in (("appearance", self.appearance), ("context", self.context),
-                          ("regression", self.regression)):
+        # self.appearance, self.context and self.regression (None when undeclared)
+        for name in ("appearance", "context", "regression"):
+            path = getattr(manifest, f"{name}_file")
+            mat = read_feature_matrix(manifest.resolve(path)) if path else None
             if mat is not None and mat.shape[0] != n_feature_rows:
                 raise InputError(
-                    f"{name} matrix has {mat.shape[0]} rows, boxes file has "
+                    f"{manifest.resolve(path)}: {name} matrix has {mat.shape[0]} rows, "
+                    f"boxes file {manifest.resolve(manifest.boxes_file)} has "
                     f"{n_feature_rows}")
+            setattr(self, name, mat)
 
         for rec in self.images.values():
             for mask in rec.masks:

@@ -41,6 +41,8 @@ def _argv(root, command):
     if command == "eval":
         return ["eval", *common, "--detections", str(root / "dets.csv"),
                 "--out", str(root / "report.csv")]
+    if command == "fit":
+        return ["regress", "fit", *common, "--out", str(root / "reg2.txt")]
     argv = ["regress", "iterate", *common, "--model", str(root / "model.txt"),
             "--regressor", str(root / "reg.txt"), "--out", str(root / "refined.csv")]
     if command == "iterate-no-regressor":
@@ -82,6 +84,9 @@ def _config(key, value):
 # (id, file to edit, edit, command, regex the error must match)
 CASES = [
     ("box-nan", "boxes.csv", _set_field(1, 2, "nan"), "iterate", r"boxes\.csv:1: "),
+    # the boxes file loses a line whose feature rows the matrices keep
+    ("boxes-line-dropped", "boxes.csv", lambda text: text.split("\n", 1)[1], "iterate",
+     r"app\.feat: appearance matrix has \d+ rows, boxes file \S*boxes\.csv has \d+"),
     ("box-outside-image", "boxes.csv", _set_field(1, 4, "560.0"), "iterate",
      r"boxes\.csv:1: .*outside"),
     ("gt-outside-image", "gt.csv", _set_field(2, 5, "64.0"), "iterate",
@@ -117,6 +122,10 @@ CASES = [
      "iterate", r"manifest\.txt:2: .*a/b"),
     ("class-name-repeated", "manifest.txt", _replace("class class2\n", "class class1\n"),
      "iterate", r"manifest\.txt:3: .*class1"),
+    ("image-id-repeated", "manifest.txt", _repeat_line(10), "iterate",
+     r"manifest\.txt:11: duplicate image id img0005"),
+    *[(f"no-regression-entry-{command}", "manifest.txt", _replace("regression reg.feat\n", ""),
+       command, r"manifest\.txt: missing regression entry") for command in ("iterate", "fit")],
     ("manifest-repeated-boxes", "manifest.txt",
      _replace("boxes boxes.csv\n", "boxes boxes.csv\nboxes gt.csv\n"),
      "iterate", r"manifest\.txt:\d+: .*boxes"),

@@ -1,3 +1,4 @@
+import argparse
 import os
 from types import SimpleNamespace
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from segdetect.boxes import Box, iou
-from segdetect.cli import _nearest_box_provider, main
+from segdetect.cli import _nearest_box_provider, build_parser, main
 from segdetect.config import load_config
 from segdetect.dataset import Dataset, read_manifest
 from segdetect.model import build_bundle
@@ -136,3 +137,54 @@ def test_nearest_box_provider_matches_python_max_on_ties():
     record.boxes = []
     with pytest.raises(KeyError):
         provider("img", queries[0])
+
+
+_THREADS = ("threads", False, None, int, "ignored: every run is single-threaded")
+# subcommand -> option -> (dest, required, default, type, help), as the CLI had
+# them when the shared flags moved to one parent parser
+CLI_SURFACE = {
+    "synth": {"--out": ("out", True, None, None, None),
+              **{flag: (dest, False, default, type(default), None)
+                 for flag, dest, default in [
+                     ("--seed", "seed", 0), ("--images", "n_images", 50),
+                     ("--classes", "n_classes", 3), ("--boxes", "boxes_per_image", 8),
+                     ("--segments", "segments_per_image", 4), ("--width", "width", 64),
+                     ("--height", "height", 64), ("--box-jitter", "box_jitter", 0.0),
+                     ("--seg-noise", "seg_noise", 0.0),
+                     ("--feat-noise", "feature_noise", 0.0),
+                     ("--score-noise", "score_noise", 0.0), ("--dapp", "d_app", 16),
+                     ("--dctx", "d_ctx", 8)]}},
+    "featdump": {},
+    "train": {"--log": ("log", False, None, None, None),
+              "--no-seg": ("no_seg", False, False, None,
+                           "ablation: zero segmentation weights"),
+              "--threads": _THREADS},
+    "detect": {"--model": ("model", True, None, None, None), "--threads": _THREADS},
+    "regress": {"mode": ("mode", True, None, None, None),
+                "--model": ("model", False, None, None, None),
+                "--regressor": ("regressor", False, None, None, None)},
+    "eval": {"--detections": ("detections", True, None, None, None),
+             "--curves": ("curves", False, None, None,
+                          "directory for per-class PR curve CSVs")},
+}
+_SHARED = {"--manifest": ("manifest", True, None, None, None),
+           "--config": ("config", False, None, None, None),
+           "--out": ("out", True, None, None, None)}
+
+
+def test_cli_surface_is_unchanged():
+    """Every subcommand keeps its flags, their dests, requiredness, defaults,
+    types and help, and `regress` its two modes."""
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    assert list(sub.choices) == list(CLI_SURFACE)
+    for command, parser in sub.choices.items():
+        want = CLI_SURFACE[command] if command == "synth" else {**_SHARED,
+                                                                **CLI_SURFACE[command]}
+        got = {option: (action.dest, action.required, action.default, action.type,
+                        action.help)
+               for action in parser._actions if action.dest != "help"
+               for option in action.option_strings or [action.dest]}
+        assert got == want, command
+    mode = next(a for a in sub.choices["regress"]._actions if a.dest == "mode")
+    assert mode.choices == ["fit", "iterate"]

@@ -355,3 +355,59 @@ def test_unused_import_guard_sees_what_a_module_leaves_unread(tmp_path):
                     "__all__ = ['e']\n\ndef f():\n    import json\n"
                     "    return np.zeros(d)\n")
     assert _unused_imports(path) == ["b", "json", "os"]
+
+
+# definitions no src/ code reads, each kept for a reason outside src/
+UNREAD_BY_SRC = {
+    "SegmentMask.from_array": "acceptance tests 01-03 build masks from pixel arrays",
+    "ModelWeights.seg_block": "acceptance tests 01-03 read one class's segment weights",
+    "grid_cells": "acceptance tests 01-03 check the grid layout against it",
+    "seggrid_in": "acceptance tests 01-03 use it as the per-pixel feature oracle",
+    "seg_out": "acceptance tests 01-03 use it as the per-pixel feature oracle",
+    "backgrid_in": "acceptance tests 01-03 use it as the per-pixel feature oracle",
+    "back_out": "acceptance tests 01-03 use it as the per-pixel feature oracle",
+    "select_segment": "benchmark/layertrace.py COUNTED wraps it; the tests use it "
+                      "as the one-class segment-choice oracle",
+}
+
+
+def _unread_definitions(paths):
+    """Qualified names of the functions, methods and classes defined in `paths`
+    whose name no code in `paths` reads, as a name or an attribute; dunders
+    are exempt."""
+    defined, read = [], set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((child.name, prefix + child.name))
+                visit(child, f"{prefix}{child.name}.")
+                continue
+            if isinstance(child, ast.Name):
+                read.add(child.id)
+            elif isinstance(child, ast.Attribute):
+                read.add(child.attr)
+            visit(child, prefix)
+
+    for path in paths:
+        visit(ast.parse(path.read_text()), "")
+    return sorted(qualname for name, qualname in defined
+                  if name not in read and not (name.startswith("__") and name.endswith("__")))
+
+
+def test_every_definition_is_read_by_src_or_allowed():
+    src = Path(segdetect.__file__).parent
+    unread = set(_unread_definitions(sorted(src.glob("*.py"))))
+    assert unread - UNREAD_BY_SRC.keys() == set(), "no src/ code reads these"
+    assert UNREAD_BY_SRC.keys() - unread == set(), "src/ reads these now: unlist them"
+
+
+def test_unread_definition_guard_sees_what_a_module_leaves_unread(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class A:\n    def __init__(self):\n        self.x = 1\n"
+        "    def used(self):\n        return self.x\n    def unused(self):\n        pass\n"
+        "def helper():\n    def inner():\n        pass\n    return A().used()\n"
+        "def dead():\n    return helper()\n")
+    (tmp_path / "b.py").write_text("from .a import helper\n\nclass B:\n    pass\n")
+    assert _unread_definitions(sorted(tmp_path.glob("*.py"))) == [
+        "A.unused", "B", "dead", "helper.inner"]
