@@ -69,7 +69,8 @@ def iou_row(corner, corners) -> np.ndarray:
     """`iou` of one rounded box against each row of `corners`, bit for bit.
 
     The integer intersection and union are below 2**53, so float64 division
-    rounds their quotient correctly, as Python's int / int does.
+    rounds their quotient correctly, as Python's int / int does.  With
+    corner a (4, k, 1) array, row r holds box r's row.
     """
     x1, y1, x2, y2 = corner
     iw = np.minimum(corners[:, 2], x2) - np.maximum(corners[:, 0], x1) + 1

@@ -92,7 +92,7 @@ def load_config(path) -> Config:
             raise ValueError(f"bad value for {key}: {' '.join(value)!r}") from None
         check_range(key, overrides[key])
 
-    read_records(path, None, setting, sep=None)
+    read_records(path, setting)
     try:
         return Config(**overrides)
     except InputError as e:

@@ -1,12 +1,14 @@
 """File formats and the in-memory dataset index.
 
 Text formats are line-oriented for diffability; feature matrices are binary.
-Text is read by read_records, which raises InputError with the file and line,
-and written by write_records, whose repr(float) floats read back bit for bit.
+Text is read a line at a time by read_records, or a column at a time by
+read_table; both raise InputError with the file and line.  It is written by
+write_records, whose repr(float) floats read back bit for bit.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import os
@@ -17,7 +19,7 @@ import numpy as np
 
 from .boxes import Box
 from .errors import InputError
-from .masks import MAX_PIXELS, SegmentMask, check_runs
+from .masks import MAX_PIXELS, SegmentMask, bad_run, check_runs, dims_error
 
 FEATURE_MAGIC = b"SDMF"
 FEATURE_VERSION = 1
@@ -64,31 +66,153 @@ def read_feature_matrix(path):
 # ---------------------------------------------------------------------------
 # line-oriented text files
 
-def read_records(path, types, build, sep=","):
-    """[build(*fields)] for each non-blank line of a text file.
+# characters a block of lines holds (or one longer line), which bounds a
+# table reader's transient memory
+BLOCK_CHARS = 2 ** 16
 
-    types holds one converter per field and fixes the field count; with None
-    the raw fields go to build unchecked.  A ValueError or InputError from a
-    converter or build is reported as path:lineno.
+
+def _line_blocks(path):
+    """(line numbers, lines) of a text file, a block of about BLOCK_CHARS
+    characters at a time: the one line source of every text reader.
+
+    The file is read once with universal newlines and split at "\\n"; lines
+    are stripped and blank ones skipped.  Bytes that do not decode raise
+    after the lines that iterating the file yields before them, which the
+    error path reads again one at a time.
     """
-    records, lineno = [], 0
+    lineno = 0
     try:
         with open(path) as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                fields = line.split(sep)
-                if types is not None:
-                    if len(fields) != len(types):
-                        raise ValueError(f"expected {len(types)} fields, got {len(fields)}")
-                    fields = [convert(tok) for convert, tok in zip(types, fields)]
-                records.append(build(*fields))
-    except (OSError, UnicodeDecodeError) as e:
-        raise InputError(f"cannot read {path}: {getattr(e, 'strerror', None) or e}") from e
-    except (ValueError, InputError) as e:
-        raise InputError(f"{path}:{lineno}: {e}") from e
+            while chunk := f.readlines(BLOCK_CHARS):
+                yield _numbered(lineno, chunk)
+                lineno += len(chunk)
+    except UnicodeDecodeError:    # the block read lost the lines before the bytes
+        rest, error = [], None
+        with open(path) as f:
+            try:
+                for line in itertools.islice(f, lineno, None):
+                    rest.append(line)
+            except UnicodeDecodeError as e:
+                error = e
+        yield _numbered(lineno, rest)
+        raise InputError(f"cannot read {path}: {error}") from error
+    except OSError as e:
+        raise InputError(f"cannot read {path}: {e.strerror or e}") from e
+
+
+def _numbered(lineno, chunk):
+    stripped = list(map(str.strip, chunk))
+    return (list(itertools.compress(range(lineno + 1, lineno + 1 + len(chunk)), stripped)),
+            list(filter(None, stripped)))
+
+
+def read_records(path, build, sep=None):
+    """[build(*fields)] for each line; a ValueError or InputError from build
+    is reported as path:lineno."""
+    records = []
+    for numbers, lines in _line_blocks(path):
+        for lineno, line in zip(numbers, lines):
+            try:
+                records.append(build(*line.split(sep)))
+            except (ValueError, InputError) as e:
+                raise InputError(f"{path}:{lineno}: {e}") from e
     return records
+
+
+def read_table(path, types, sep=","):
+    """A Table per block of a text file's lines."""
+    for numbers, lines in _line_blocks(path):
+        if lines:
+            yield Table(path, numbers, lines, types, sep)
+
+
+def _each(convert, tokens):
+    """convert(tok) for each of tokens, converting each distinct token once."""
+    distinct = set(tokens)
+    return map(dict(zip(distinct, map(convert, distinct))).__getitem__, tokens)
+
+
+class Table:
+    """Lines of len(types) fields, converted and checked a column at a time.
+
+    `columns` holds each field through its type; float fields are arrays of
+    finite values.  Each conversion and check runs on the rows before the
+    first failure so far, in a per-line reader's order, so the failure kept
+    is the one that reader raises first.
+    """
+
+    def __init__(self, path, numbers, lines, types, sep):
+        self.path, self.numbers, self.n, self.error, k = path, numbers, len(lines), None, len(types)
+        if ({c + 1 for c in set(map(str.count, lines, itertools.repeat(sep)))} if sep
+                else set(map(len, map(str.split, lines)))) != {k}:
+            self.check([len(line.split(sep)) != k for line in lines],
+                       lambda i: f"expected {k} fields, got {len(lines[i].split(sep))}")
+        flat = (sep or " ").join(lines[:self.n]).split(sep) if self.n else []
+        self.columns = [self.convert(flat[j::k], convert) for j, convert in enumerate(types)]
+
+    def fail(self, row, message):
+        if row < self.n:
+            self.n, self.error = row, message
+
+    def check(self, bad, redo):
+        """Fail the first row where bad holds, with redo(row)'s message or error."""
+        for i in np.flatnonzero(bad[:self.n])[:1].tolist():
+            try:
+                self.fail(i, redo(i))
+            except (ValueError, InputError) as e:
+                self.fail(i, str(e))
+
+    def convert(self, col, convert):
+        """col through convert; the first row it rejects fails."""
+        col = col[:self.n]
+        try:
+            values = col if convert is str else list(_each(convert, col))
+        except ValueError:
+            for i, tok in enumerate(col):
+                try:
+                    convert(tok)
+                except ValueError as e:
+                    self.fail(i, str(e))
+                    return self.convert(col, convert)
+        if convert is float:
+            values = np.array(values, dtype=np.float64)
+            self.check(~np.isfinite(values), lambda i: f"non-finite value {col[i]}")
+        return values
+
+    def unique(self, seen, keys, message):
+        """Fail the first row whose key is in seen; seen gains the keys."""
+        new = set(keys := keys[:self.n])
+        if len(new) < len(keys) or not seen.isdisjoint(new):
+            for i, key in enumerate(keys):
+                if key in seen:
+                    return self.fail(i, message(i))
+                seen.add(key)
+        seen |= new
+
+    def class_ids(self, classes, n_classes, what):
+        if n_classes and classes and not 1 <= min(classes) <= max(classes) <= n_classes:
+            self.check([not 1 <= c <= n_classes for c in classes],
+                       lambda i: f"{what} with invalid class id {classes[i]}")
+
+    def boxes(self, corners, sizes):
+        """Fail corners (x1, y1, x2, y2) that make no Box, then a box outside
+        its image (field 0) in sizes; returns whether sizes holds the image."""
+        images, (x1, y1, x2, y2) = self.columns[0], (v[:self.n] for v in corners)
+
+        def box(i):
+            return Box(float(x1[i]), float(y1[i]), float(x2[i]), float(y2[i]))
+        self.check((x1 > x2) | (y1 > y2), box)
+        index = dict(zip(sizes, itertools.count(1)))
+        rows = np.fromiter(map(index.get, images[:self.n], itertools.repeat(0)), np.int64)
+        w, h = np.array([(0, 0), *sizes.values()], dtype=np.int64)[rows].T
+        n = len(rows)
+        self.check((w > 0) & ((x1[:n] < 0) | (y1[:n] < 0) | (x2[:n] > w - 1) | (y2[:n] > h - 1)),
+                   lambda i: f"{box(i)} lies outside the {w[i]}x{h[i]} image {images[i]}")
+        return w > 0
+
+    def done(self):
+        if self.error is not None:
+            raise InputError(f"{self.path}:{self.numbers[self.n]}: {self.error}")
 
 
 def write_records(path, rows, sep=","):
@@ -143,36 +267,13 @@ def read_blocks(path, magic, header_keys, block_key, row_keys):
         else:
             raise ValueError(f"expected {block_key} line, got {key!r}")
 
-    read_records(path, None, parse, sep=None)
+    read_records(path, parse)
     if not header or rows is not None and len(rows) < len(row_keys):
         raise InputError(f"{path}: empty, or its last {block_key} block is cut short")
     for key in header_keys:
         if key not in header:
             raise InputError(f"{path}: no {key} header line")
     return header, blocks
-
-
-def _inside(sizes, image_id, box):
-    """Reject a box that leaves its image; sizes maps image_id -> (w, h)."""
-    size = sizes.get(image_id)
-    if size and not (0 <= box.x1 and 0 <= box.y1
-                     and box.x2 <= size[0] - 1 and box.y2 <= size[1] - 1):
-        raise ValueError(f"{box} lies outside the {size[0]}x{size[1]} image {image_id}")
-    return box
-
-
-def _once(seen, key, what):
-    """Reject a key already in seen; what names the record in the error."""
-    if key in seen:
-        raise ValueError(f"duplicate {what}")
-    seen.add(key)
-
-
-def valid_class_id(n_classes, class_id, what):
-    """Reject a class id outside 1..n_classes when n_classes is known."""
-    if n_classes and not 1 <= class_id <= n_classes:
-        raise ValueError(f"{what} with invalid class id {class_id}")
-    return class_id
 
 
 def write_boxes_file(path, rows):
@@ -182,16 +283,21 @@ def write_boxes_file(path, rows):
 
 
 def read_boxes_file(path, sizes):
-    """[(image_id, box_id, Box)]; boxes of images in sizes must lie inside them.
+    """[(image_id, box_id, Box)] per line, None on a line of an image not in sizes.
 
-    Box ids are unique within an image.
+    Every line is checked: box ids are unique within an image, and the boxes
+    of images in sizes lie inside them.
     """
-    seen = set()
-
-    def row(image_id, box_id, *xy):
-        _once(seen, (image_id, box_id), f"box id {box_id} in image {image_id}")
-        return image_id, box_id, _inside(sizes, image_id, Box(*xy))
-    return read_records(path, (str, int, finite, finite, finite, finite), row)
+    rows, seen = [], set()
+    for t in read_table(path, (str, int, float, float, float, float)):
+        images, ids, *corners = t.columns
+        t.unique(seen, list(zip(images, ids)),
+                 lambda i: f"duplicate box id {ids[i]} in image {images[i]}")
+        known = t.boxes(corners, sizes)
+        t.done()
+        rows += [(image_id, box_id, Box(*xy)) if k else None for image_id, box_id, k, *xy
+                 in zip(images, ids, known.tolist(), *(v.tolist() for v in corners))]
+    return rows
 
 
 def write_masks_file(path, masks):
@@ -205,6 +311,31 @@ def _runs(text):
     return [(int(start), int(length)) for start, length in pairs]
 
 
+def _run_values(t, texts):
+    """The flat start, length ints of the rows' runs, and each row's run count.
+
+    The ints are an int64 array, or a list if one is past int64.  A row
+    whose runs _runs rejects fails, and the rows before it are read.
+    """
+    texts = texts[:t.n]
+    joined = ",".join([text for text in texts if text != "-"])
+    seps = np.frombuffer(joined.encode(), np.uint8)
+    seps = seps[(seps == ord(",")) | (seps == ord(":"))]
+    tokens = joined.replace(":", ",").split(",") if joined else []
+    try:
+        # _runs takes a text whose separators alternate ":", ",", ... ":"
+        if joined and (len(seps) % 2 == 0 or (seps[::2] != ord(":")).any()
+                       or (seps[1::2] != ord(",")).any()):
+            raise ValueError
+        values = np.fromiter(_each(int, tokens), np.int64, len(tokens))
+    except OverflowError:
+        values = list(_each(int, tokens))
+    except ValueError:
+        t.convert(texts, _runs)
+        return _run_values(t, texts)
+    return values, [0 if text == "-" else text.count(",") + 1 for text in texts]
+
+
 def read_masks_file(path, sizes, min_pixels):
     """[SegmentMask] of the images in sizes that hold at least min_pixels pixels.
 
@@ -213,23 +344,33 @@ def read_masks_file(path, sizes, min_pixels):
     one pixel: an empty mask has no features.  Segment ids are unique within
     an image.
     """
-    seen = set()
-
-    def mask(image_id, segment_id, height, width, runs):
-        _once(seen, (image_id, segment_id), f"segment id {segment_id} in image {image_id}")
-        size = sizes.get(image_id)
-        if size is None:
-            check_runs(image_id, segment_id, height, width, runs)
-            return None
-        if size != (width, height):
-            raise ValueError(f"mask dims {height}x{width} differ from image "
-                             f"{image_id} dims {size[1]}x{size[0]}")
-        if min_pixels <= 0 and not runs:
-            raise ValueError(f"segment {segment_id} of {image_id} is empty")
-        built = SegmentMask(image_id, segment_id, height, width, runs)
-        return built if built.pixel_count >= min_pixels else None
-    masks = read_records(path, (str, int, int, int, _runs), mask, sep=None)
-    return [m for m in masks if m is not None]
+    masks, seen = [], set()
+    for t in read_table(path, (str, int, int, int, str), sep=None):
+        images, segs, heights, widths, texts = t.columns
+        values, counts = _run_values(t, texts)
+        t.unique(seen, list(zip(images, segs)),
+                 lambda i: f"duplicate segment id {segs[i]} in image {images[i]}")
+        shapes = [sizes.get(image_id) for image_id in images[:t.n]]
+        t.check([size != (w, h) if size else dims_error(h, w) is not None
+                 for size, h, w in zip(shapes, heights, widths)],
+                lambda i: f"mask dims {heights[i]}x{widths[i]} differ from image "
+                          f"{images[i]} dims {shapes[i][1]}x{shapes[i][0]}"
+                if shapes[i] else str(dims_error(heights[i], widths[i])))
+        if min_pixels <= 0:
+            t.check([size is not None and not count for size, count in zip(shapes, counts)],
+                    lambda i: f"segment {segs[i]} of {images[i]} is empty")
+        offsets = [0, *itertools.accumulate(counts[:t.n])]
+        runs, pixels, bad = check_runs(values[:2 * offsets[-1]], counts[:t.n],
+                                       [h * w for h, w in zip(heights[:t.n], widths)])
+        if bad >= 0:
+            row = bisect.bisect_right(offsets, bad) - 1
+            t.fail(row, str(bad_run(values, bad, segs[row], images[row])))
+        t.done()
+        masks += [SegmentMask(image_id, seg, h, w, runs[lo:hi], count)
+                  for image_id, seg, h, w, size, lo, hi, count
+                  in zip(images, segs, heights, widths, shapes, offsets, offsets[1:], pixels)
+                  if size and count >= min_pixels]
+    return masks
 
 
 def write_gt_file(path, gts):
@@ -246,15 +387,21 @@ def _difficult(tok):
 
 
 def read_gt_file(path, sizes, n_classes):
-    """[(image_id, class_id, Box, difficult)]; as read_boxes_file for sizes.
+    """[(image_id, class_id, Box, difficult)] of the images in sizes.
 
-    Class ids must lie in 1..n_classes.
+    Every line is checked: class ids lie in 1..n_classes, and boxes are
+    checked as read_boxes_file checks them.
     """
-    return read_records(
-        path, (str, int, finite, finite, finite, finite, _difficult),
-        lambda image_id, class_id, x1, y1, x2, y2, difficult: (
-            image_id, valid_class_id(n_classes, class_id, "ground truth"),
-            _inside(sizes, image_id, Box(x1, y1, x2, y2)), difficult))
+    gts = []
+    for t in read_table(path, (str, int, float, float, float, float, _difficult)):
+        images, classes, *corners, difficult = t.columns
+        t.class_ids(classes, n_classes, "ground truth")
+        known = t.boxes(corners, sizes)
+        t.done()
+        gts += [(image_id, class_id, Box(*xy), flag) for image_id, class_id, flag, k, *xy
+                in zip(images, classes, difficult, known.tolist(),
+                       *(v.tolist() for v in corners)) if k]
+    return gts
 
 
 def write_seg_scores_file(path, rows):
@@ -262,19 +409,23 @@ def write_seg_scores_file(path, rows):
     write_records(path, rows)
 
 
-def read_seg_scores_file(path, n_classes):
-    """[(image_id, segment_id, class_id, score)], one row per key at most.
+def read_seg_scores_file(path, sizes, n_classes):
+    """{(image_id, segment_id, class_id): score} of the images in sizes.
 
-    Class ids must lie in 1..n_classes.
+    Every line is checked: class ids lie in 1..n_classes, and each key is on
+    one line at most.
     """
-    seen = set()
-
-    def row(image_id, seg_id, class_id, score):
-        valid_class_id(n_classes, class_id, "segment score")
-        _once(seen, (image_id, seg_id, class_id),
-              f"score for segment {seg_id} of {image_id}, class {class_id}")
-        return image_id, seg_id, class_id, score
-    return read_records(path, (str, int, int, finite), row)
+    scores, seen = {}, set()
+    for t in read_table(path, (str, int, int, float)):
+        images, segs, classes, values = t.columns
+        t.class_ids(classes, n_classes, "segment score")
+        keys = list(zip(images, segs, classes))
+        t.unique(seen, keys, lambda i: f"duplicate score for segment {segs[i]} of "
+                                       f"{images[i]}, class {classes[i]}")
+        t.done()
+        scores.update((key, score) for key, score in zip(keys, values.tolist())
+                      if key[0] in sizes)
+    return scores
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +479,9 @@ def read_manifest(path):
                                  "a path separator")
             classes.append(values[0])
         elif key == "image":
-            _once(image_ids, values[0], f"image id {values[0]}")
+            if values[0] in image_ids:
+                raise ValueError(f"duplicate image id {values[0]}")
+            image_ids.add(values[0])
             width, height = int(values[1]), int(values[2])
             if width < 1 or height < 1 or width * height >= MAX_PIXELS:
                 raise ValueError(f"image {values[0]} needs width and height >= 1, "
@@ -339,7 +492,7 @@ def read_manifest(path):
         else:
             files[f"{key}_file"] = values[0]
 
-    read_records(path, None, entry, sep=None)
+    read_records(path, entry)
     for key in _MANIFEST_FILES[:-1]:    # all but regression are required
         if f"{key}_file" not in files:
             raise InputError(f"{path}: missing {key} entry")
@@ -381,13 +534,12 @@ class Dataset:
                        for image_id, w, h in manifest.images}
         sizes = {image_id: (w, h) for image_id, w, h in manifest.images}
         box_rows = read_boxes_file(manifest.resolve(manifest.boxes_file), sizes)
-        for row_idx, (image_id, box_id, box) in enumerate(box_rows):
-            rec = self.images.get(image_id)
-            if rec is None:
-                continue
-            rec.box_ids.append(box_id)
-            rec.boxes.append(box)
-            rec.rows.append(row_idx)
+        for row_idx, row in enumerate(box_rows):
+            if row:
+                rec = self.images[row[0]]
+                rec.box_ids.append(row[1])
+                rec.boxes.append(row[2])
+                rec.rows.append(row_idx)
         n_feature_rows = len(box_rows)
 
         for mask in read_masks_file(manifest.resolve(manifest.masks_file), sizes,
@@ -398,15 +550,11 @@ class Dataset:
 
         # every line is checked; only this manifest's images are kept
         scores_path = manifest.resolve(manifest.seg_scores_file)
-        self.seg_scores = {(image_id, seg_id, class_id): score
-                           for image_id, seg_id, class_id, score
-                           in read_seg_scores_file(scores_path, self.n_classes)
-                           if image_id in self.images}
+        self.seg_scores = read_seg_scores_file(scores_path, sizes, self.n_classes)
 
         for image_id, class_id, box, difficult in read_gt_file(
                 manifest.resolve(manifest.ground_truth_file), sizes, self.n_classes):
-            if image_id in self.images:
-                self.images[image_id].gts.append((class_id, box, difficult))
+            self.images[image_id].gts.append((class_id, box, difficult))
 
         # self.appearance, self.context and self.regression (None when undeclared)
         for name in ("appearance", "context", "regression"):
@@ -419,13 +567,13 @@ class Dataset:
                     f"{n_feature_rows}")
             setattr(self, name, mat)
 
-        for rec in self.images.values():
-            for mask in rec.masks:
-                for c in range(1, self.n_classes + 1):
-                    if (rec.image_id, mask.segment_id, c) not in self.seg_scores:
-                        raise InputError(
-                            f"{scores_path}: missing score for segment "
-                            f"{mask.segment_id} of {rec.image_id}, class {c}")
+        needed = [(rec.image_id, mask.segment_id, c) for rec in self.images.values()
+                  for mask in rec.masks for c in range(1, self.n_classes + 1)]
+        missing = set(needed).difference(self.seg_scores)
+        if missing:
+            image_id, segment_id, c = next(key for key in needed if key in missing)
+            raise InputError(f"{scores_path}: missing score for segment {segment_id} "
+                             f"of {image_id}, class {c}")
 
     @property
     def d_app(self):

@@ -21,19 +21,27 @@ MAX_PIXELS = 2 ** 31    # a mask holds fewer pixels: summed_area() counts in int
 class SegmentMask:
     """Binary mask of one region proposal, stored as row-major (start, length) runs.
 
-    `runs` is one (n, 2) int32 array.  The runs are checked as Python ints
-    before the conversion, so an out-of-range value raises BadRle.
+    `runs` is one (n, 2) int32 array.  Given as (start, length) pairs of
+    Python ints, the runs are checked here, so an out-of-range value raises
+    BadRle.  Given with their pixel count, they are an (n, 2) int array of
+    runs known to be good: from a block that passed `check_runs`, or a
+    clipped rectangle.
     """
 
-    def __init__(self, image_id, segment_id, height, width, runs):
-        count = check_runs(image_id, segment_id, height, width, runs)
+    def __init__(self, image_id, segment_id, height, width, runs, pixel_count=None):
+        if pixel_count is None:
+            if (error := dims_error(height, width)) is not None:
+                raise error
+            values = list(itertools.chain.from_iterable(runs))
+            runs, (pixel_count,), bad = check_runs(values, [len(runs)], [height * width])
+            if bad >= 0:
+                raise bad_run(values, bad, segment_id, image_id)
         self.image_id = image_id
         self.segment_id = segment_id
         self.height = height
         self.width = width
-        self.runs = np.fromiter(itertools.chain.from_iterable(runs), dtype=np.int32,
-                                count=2 * len(runs)).reshape(-1, 2)
-        self.pixel_count = count
+        self.runs = runs.astype(np.int32)
+        self.pixel_count = pixel_count
         self._integral = None
         self._tight_box = None
 
@@ -65,24 +73,46 @@ class SegmentMask:
         return self._integral
 
 
-def check_runs(image_id, segment_id, height, width, runs) -> int:
-    """Pixel count of a mask's (start, length) runs, or BadRle.
+def dims_error(height, width):
+    """The BadRle for dims that do not hold 1 to 2**31 - 1 pixels, else None."""
+    if height < 1 or width < 1 or height * width >= MAX_PIXELS:
+        return BadRle(f"bad mask dims {height}x{width}: need 1 to 2**31 - 1 pixels")
+    return None
 
-    The dims must hold 1 to 2**31 - 1 pixels, and each run must be
-    non-empty, after the previous one and inside the dims.
+
+def check_runs(values, counts, totals):
+    """Check the runs of a block of masks in one pass.
+
+    values holds the flat start, length ints of every mask's runs in turn:
+    counts[k] runs of mask k, whose dims hold totals[k] pixels (1 to
+    2**31 - 1).  Each run must be non-empty, after the previous run of its
+    mask and inside the mask.  Returns the (n, 2) int64 runs, each mask's
+    pixel count, and the index of the first bad run, or -1.  A value past
+    int64 is clamped to it, which keeps its run bad.
     """
-    total = height * width
-    if height < 1 or width < 1 or total >= MAX_PIXELS:
-        raise BadRle(f"bad mask dims {height}x{width}: need 1 to 2**31 - 1 pixels")
-    prev_end = 0
-    count = 0
-    for start, length in runs:
-        if length < 1 or start < prev_end or start + length > total:
-            raise BadRle(
-                f"bad run ({start},{length}) in segment {segment_id} of {image_id}")
-        prev_end = start + length
-        count += length
-    return count
+    try:
+        runs = np.asarray(values, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        runs = np.array([min(max(v, -2 ** 63), 2 ** 63 - 1) for v in values],
+                        dtype=np.int64).reshape(-1, 2)
+    starts, lengths = runs[:, 0], runs[:, 1]
+    counts = np.asarray(counts, dtype=np.int64)
+    ends = np.cumsum(counts)
+    firsts = ends - counts
+    # a run after a bad one may wrap around; only the first bad run is read
+    prev_end = np.concatenate(([0], starts[:-1] + lengths[:-1]))[:len(runs)]
+    prev_end[firsts[firsts < len(runs)]] = 0
+    bad = ((lengths < 1) | (starts < prev_end)
+           | (lengths > np.repeat(np.asarray(totals, dtype=np.int64), counts) - starts))
+    summed = np.concatenate(([0], np.cumsum(lengths)))
+    return (runs, (summed[ends] - summed[firsts]).tolist(),
+            int(bad.argmax()) if bad.any() else -1)
+
+
+def bad_run(values, k, segment_id, image_id):
+    """The BadRle for run k of check_runs' values."""
+    return BadRle(f"bad run ({values[2 * k]},{values[2 * k + 1]}) in segment {segment_id} "
+                  f"of {image_id}")
 
 
 def summed_area(mask: SegmentMask) -> np.ndarray:

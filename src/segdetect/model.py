@@ -8,14 +8,13 @@ independent across classes, so maximizing each class on its own is exact.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .boxes import Box, iou_row, rounded_corners
 from .config import check_range
-from .dataset import finite, read_blocks, read_records, valid_class_id, write_records
+from .dataset import finite, read_blocks, read_table, write_records
 from .errors import InputError
 from .segfeat import GridSpec, assemble_block, block_length, segclass_feat
 from .masks import largest_segment_area, summed_area
@@ -247,25 +246,44 @@ class Detection:
     chosen_segments: list
 
 
-def nms(boxes, scores, box_ids, iou_thresh):
-    """Greedy suppression; returns kept indices, higher score (then lower id) first."""
-    order = sorted(range(len(boxes)), key=lambda i: (-scores[i], box_ids[i]))
+def overlap_matrix(boxes, iou_thresh):
+    """(n, n) bool matrix: iou of boxes i and j above iou_thresh.
+
+    Each row block goes through `iou_row`, so the test is the same as on one
+    row at a time.  A block holds at most SCORE_CHUNK_FLOATS / 2 entries:
+    the IoU arithmetic keeps about six int64 temporaries of a block alive.
+    """
     corners = rounded_corners(boxes)
+    out = np.empty((len(corners), len(corners)), dtype=bool)
+    step = max(1, SCORE_CHUNK_FLOATS // 2 // max(len(corners), 1))
+    for lo in range(0, len(corners), step):
+        out[lo:lo + step] = iou_row(corners[lo:lo + step].T[:, :, None], corners) > iou_thresh
+    return out
+
+
+def nms(boxes, scores, box_ids, iou_thresh, overlap=None):
+    """Greedy suppression; returns kept indices, higher score (then lower id) first.
+
+    overlap: `overlap_matrix(boxes, iou_thresh)`, when the caller has it already.
+    """
+    overlap = overlap_matrix(boxes, iou_thresh) if overlap is None else overlap
+    order = sorted(range(len(boxes)), key=lambda i: (-scores[i], box_ids[i]))
     suppressed = np.zeros(len(boxes), dtype=bool)
     kept = []
     for i in order:
         if not suppressed[i]:
             kept.append(i)
-            suppressed |= iou_row(corners[i], corners) > iou_thresh
+            suppressed |= overlap[i]
     return kept
 
 
 def detect_image(bundle: FeatureBundle, weights: ModelWeights, nms_iou, top_k):
-    """Score every box with every detector, then per-class NMS."""
+    """Score every box with every detector, then per-class NMS on one overlap matrix."""
+    overlap = overlap_matrix(bundle.boxes, nms_iou)
     detections = []
     for detector in range(1, weights.n_classes + 1):
         scores, chosen = score_boxes(bundle, weights, detector)
-        kept = nms(bundle.boxes, scores, bundle.box_ids, nms_iou)[:top_k]
+        kept = nms(bundle.boxes, scores, bundle.box_ids, nms_iou, overlap)[:top_k]
         for i in kept:
             detections.append(Detection(
                 bundle.image_id, detector, bundle.box_ids[i], bundle.boxes[i],
@@ -289,17 +307,22 @@ def read_detections(path, dataset=None):
 
     With a Dataset, class ids must lie in 1..C and image ids must be its own.
     """
-    box_ids = itertools.count(1)
-    n_classes = dataset.n_classes if dataset else None
-
-    def detection(image_id, class_id, score, x1, y1, x2, y2, segs):
-        if dataset and image_id not in dataset.images:
-            raise ValueError(f"detection of image {image_id}, which the manifest "
-                             "does not list")
-        return Detection(image_id, valid_class_id(n_classes, class_id, "detection"),
-                         next(box_ids), Box(x1, y1, x2, y2), score, segs)
-    return read_records(
-        path, (str, int, finite, finite, finite, finite, finite, _segments), detection)
+    detections = []
+    for t in read_table(path, (str, int, float, float, float, float, float, _segments)):
+        images, classes, scores, *corners, segments = t.columns
+        if dataset:
+            t.check([image_id not in dataset.images for image_id in images],
+                    lambda i: f"detection of image {images[i]}, which the manifest "
+                              "does not list")
+        t.class_ids(classes, dataset and dataset.n_classes, "detection")
+        t.boxes(corners, {})
+        t.done()
+        # list(segs): _each hands one list to every line with the same field
+        detections += [Detection(image_id, class_id, box_id, Box(*xy), score, list(segs))
+                       for box_id, (image_id, class_id, score, segs, *xy) in enumerate(
+                           zip(images, classes, scores.tolist(), segments,
+                               *(v.tolist() for v in corners)), len(detections) + 1)]
+    return detections
 
 
 def _segments(text):

@@ -220,9 +220,10 @@ class SynthWorld:
         y1 = max(y1, 0)
         x2 = min(x2, self.cfg.width - 1)
         y2 = min(y2, self.cfg.height - 1)
-        runs = [(row * self.cfg.width + x1, x2 - x1 + 1)
-                for row in range(y1, y2 + 1)]
-        return SegmentMask(image_id, seg_id, self.cfg.height, self.cfg.width, runs)
+        rows = np.arange(y1, y2 + 1)   # a clipped rect: its runs need no check
+        runs = np.stack([rows * self.cfg.width + x1, np.full(len(rows), x2 - x1 + 1)], axis=1)
+        return SegmentMask(image_id, seg_id, self.cfg.height, self.cfg.width, runs,
+                           len(rows) * (x2 - x1 + 1))
 
     @np.errstate(over="ignore")     # a value that overflows is refused before writing
     def write(self, out_dir):

@@ -12,6 +12,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from segdetect.bboxreg import collect_training_pairs
 from segdetect.cli import main
 from segdetect.dataset import Dataset, read_manifest, read_seg_scores_file
+from segdetect.errors import InputError
 
 
 @pytest.fixture(scope="module")
@@ -201,9 +203,9 @@ def test_test_manifest_keeps_its_own_scores_and_checks_every_line(world, tmp_pat
                                                                    capsys):
     """The split manifests share one scores file; each keeps only its images'."""
     dataset = Dataset(read_manifest(world / "manifest_test.txt"), min_segment_pixels=0)
-    rows = read_seg_scores_file(world / "seg_scores.csv", dataset.n_classes)
-    own = {(image_id, seg, c): score for image_id, seg, c, score in rows
-           if image_id in dataset.images}
+    sizes = {image_id: (w, h) for image_id, w, h in read_manifest(world / "manifest.txt").images}
+    rows = read_seg_scores_file(world / "seg_scores.csv", sizes, dataset.n_classes)
+    own = {key: score for key, score in rows.items() if key[0] in dataset.images}
     assert dataset.seg_scores == own and len(own) < len(rows)
     root = tmp_path / "w"
     shutil.copytree(world, root)
@@ -468,3 +470,250 @@ def test_fuzzed_input_exits_0_or_2(world, name, data):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
             rc = main(_argv(Path(tmp), FUZZ_FILES[name]))
     assert rc in (0, 2), out.getvalue()
+
+
+# A two-image world whose files also hold lines of image z, which the manifest
+# does not list; its boxes may leave any image, but every other check holds.
+TINY_WORLD = {
+    "manifest.txt": "version 1\nclass c1\nclass c2\nimage a 8 6\nimage b 5 5\n"
+                    "boxes boxes.csv\nmasks masks.txt\nseg_scores scores.csv\n"
+                    "ground_truth gt.csv\nappearance app.feat\ncontext ctx.feat\n",
+    "boxes.csv": "a,0,0.0,0.0,4.0,3.0\na,1,1.0,1.0,7.0,5.0\nb,0,0.0,0.0,4.0,4.0\n"
+                 "z,0,-5.0,0.0,99.0,4.0\n",
+    "masks.txt": "a 0 6 8 0:4,8:4\na 1 6 8 10:3\nb 0 5 5 0:5\nz 0 3 3 -\n",
+    "scores.csv": "a,0,1,0.5\na,0,2,-0.5\na,1,1,1.5\na,1,2,2.5\nb,0,1,0.25\nb,0,2,-1.0\n"
+                  "z,0,1,7.0\n",
+    "gt.csv": "a,1,0.0,0.0,4.0,3.0,0\nb,2,0.0,0.0,4.0,4.0,1\nz,1,-1.0,0.0,50.0,4.0,0\n",
+    "dets.csv": "a,1,0.5,0.0,0.0,4.0,3.0,0;NONE\nb,2,-0.25,0.0,0.0,4.0,4.0,NONE;0\n",
+}
+
+
+def _tiny_world(root, name=None, edit=None):
+    """Write TINY_WORLD to root; edit replaces file `name` whole (a str) or
+    the lines its {line number: text} dict names."""
+    from segdetect.dataset import write_feature_matrix
+    for fname, text in TINY_WORLD.items():
+        if fname == name and isinstance(edit, str):
+            text = edit
+        elif fname == name:
+            lines = text.split("\n")
+            for lineno, line in edit.items():
+                lines[lineno - 1] = line
+            text = "\n".join(lines)
+        (root / fname).write_bytes(text.encode())
+    for fname, width in (("app.feat", 3), ("ctx.feat", 2)):
+        write_feature_matrix(root / fname, np.ones((4, width)))
+
+
+def _load_tiny(root):
+    """The tiny world's Dataset and detections."""
+    from segdetect.model import read_detections
+    dataset = Dataset(read_manifest(root / "manifest.txt"), min_segment_pixels=0)
+    return dataset, read_detections(root / "dets.csv", dataset)
+
+
+# (id, file, edit, the whole error after "<directory>/"), taken from the
+# per-line reader: the smallest failing line wins, then the first failing
+# check in that line's order (field count, each field's conversion from
+# left to right, then the checks across fields)
+PINNED = [
+    ("boxes-field-count", "boxes.csv", {2: "a,1,1.0,1.0,7.0"},
+     'boxes.csv:2: expected 6 fields, got 5'),
+    ("boxes-bad-int", "boxes.csv", {2: "a,x,1.0,1.0,7.0,5.0"},
+     "boxes.csv:2: invalid literal for int() with base 10: 'x'"),
+    ("boxes-bad-float", "boxes.csv", {2: "a,1,1.0,y,7.0,5.0"},
+     "boxes.csv:2: could not convert string to float: 'y'"),
+    ("boxes-nan", "boxes.csv", {2: "a,1,nan,1.0,7.0,5.0"},
+     'boxes.csv:2: non-finite value nan'),
+    ("boxes-duplicate", "boxes.csv", {2: "a,0,1.0,1.0,7.0,5.0"},
+     'boxes.csv:2: duplicate box id 0 in image a'),
+    ("boxes-inverted", "boxes.csv", {2: "a,1,7.0,1.0,1.0,5.0"},
+     'boxes.csv:2: inverted box Box(x1=7.0, y1=1.0, x2=1.0, y2=5.0)'),
+    ("boxes-outside", "boxes.csv", {2: "a,1,1.0,1.0,8.0,5.0"},
+     'boxes.csv:2: Box(x1=1.0, y1=1.0, x2=8.0, y2=5.0) lies outside the 8x6 image a'),
+    ("boxes-inverted-other-image", "boxes.csv", {4: "z,0,5.0,0.0,1.0,4.0"},
+     'boxes.csv:4: inverted box Box(x1=5.0, y1=0.0, x2=1.0, y2=4.0)'),
+    ("boxes-earlier-line-later-column", "boxes.csv", {2: "a,1,1.0,1.0,7.0,inf",
+                                                      3: "b,x,0.0,0.0,4.0,4.0"},
+     'boxes.csv:2: non-finite value inf'),
+    ("boxes-earlier-line-later-check", "boxes.csv", {2: "a,1,1.0,1.0,8.0,5.0",
+                                                     3: "b,0,0.0,0.0,4.0"},
+     'boxes.csv:2: Box(x1=1.0, y1=1.0, x2=8.0, y2=5.0) lies outside the 8x6 image a'),
+    ("boxes-two-lines-fail-one-check", "boxes.csv",
+     {2: "a,1,1.0,1.0,7.0,nan", 3: "b,0,0.0,0.0,4.0,nan"},
+     'boxes.csv:2: non-finite value nan'),
+    # the repeat of line 1 sits past the first block of lines a reader takes
+    ("boxes-duplicate-far-below", "boxes.csv",
+     TINY_WORLD["boxes.csv"] + "".join(f"z,{i},0.0,0.0,1.0,1.0\n" for i in range(1, 5000))
+     + "a,0,0.0,0.0,4.0,3.0\n", 'boxes.csv:5004: duplicate box id 0 in image a'),
+    ("boxes-after-blank-lines", "boxes.csv",
+     "a,0,0.0,0.0,4.0,3.0\n\n   \n\t\na,1,1.0,1.0,7.0,5.0\nb,0,0.0,0.0,4.0,4.0,9\n"
+     "z,0,-5.0,0.0,99.0,4.0\n",
+     'boxes.csv:6: expected 6 fields, got 7'),
+    ("boxes-crlf", "boxes.csv",
+     "a,0,0.0,0.0,4.0,3.0\r\n  a,1,1.0,1.0,7.0,5.0  \r\n\r\nb,0,0.0,0.0,4.0\r\n"
+     "z,0,-5.0,0.0,99.0,4.0\r\n",
+     'boxes.csv:4: expected 6 fields, got 5'),
+    ("boxes-cr", "boxes.csv",
+     "a,0,0.0,0.0,4.0,3.0\ra,1,1.0,1.0,7.0,5.0\rb,0,0.0,0.0,4.0,4.0\rz,0\r",
+     'boxes.csv:4: expected 6 fields, got 2'),
+    ("masks-field-count", "masks.txt", {2: "a 1 6 8"},
+     'masks.txt:2: expected 5 fields, got 4'),
+    ("masks-bad-int", "masks.txt", {2: "a 1 six 8 10:3"},
+     "masks.txt:2: invalid literal for int() with base 10: 'six'"),
+    ("masks-overlapping", "masks.txt", {2: "a 1 6 8 0:5,3:4"},
+     'masks.txt:2: bad run (3,4) in segment 1 of a'),
+    ("masks-unsorted", "masks.txt", {2: "a 1 6 8 10:2,0:2"},
+     'masks.txt:2: bad run (0,2) in segment 1 of a'),
+    ("masks-past-end", "masks.txt", {2: "a 1 6 8 10:3,40:9"},
+     'masks.txt:2: bad run (40,9) in segment 1 of a'),
+    ("masks-zero-length", "masks.txt", {2: "a 1 6 8 10:0"},
+     'masks.txt:2: bad run (10,0) in segment 1 of a'),
+    ("masks-run-huge", "masks.txt", {2: "a 1 6 8 10:3,99999999999999999999:1"},
+     'masks.txt:2: bad run (99999999999999999999,1) in segment 1 of a'),
+    ("masks-run-negative-huge", "masks.txt", {2: "a 1 6 8 -99999999999999999999:1"},
+     'masks.txt:2: bad run (-99999999999999999999,1) in segment 1 of a'),
+    ("masks-run-three-fields", "masks.txt", {2: "a 1 6 8 10:3,3:4:5"},
+     'masks.txt:2: too many values to unpack (expected 2)'),
+    ("masks-run-one-field", "masks.txt", {2: "a 1 6 8 10:3,3"},
+     'masks.txt:2: not enough values to unpack (expected 2, got 1)'),
+    # the same numbers as the good runs 10:3,20:2, with the separators moved
+    ("masks-run-misplaced-separators", "masks.txt", {2: "a 1 6 8 10,3:20:2"},
+     'masks.txt:2: not enough values to unpack (expected 2, got 1)'),
+    ("masks-run-bad-int", "masks.txt", {2: "a 1 6 8 10:3,x:4"},
+     "masks.txt:2: invalid literal for int() with base 10: 'x'"),
+    ("masks-run-empty-pair", "masks.txt", {2: "a 1 6 8 10:3,"},
+     'masks.txt:2: not enough values to unpack (expected 2, got 1)'),
+    ("masks-wrong-dims", "masks.txt", {2: "a 1 8 6 10:3"},
+     'masks.txt:2: mask dims 8x6 differ from image a dims 6x8'),
+    ("masks-other-image-bad-dims", "masks.txt", {4: "z 0 0 3 -"},
+     'masks.txt:4: bad mask dims 0x3: need 1 to 2**31 - 1 pixels'),
+    ("masks-other-image-huge-dims", "masks.txt", {4: "z 0 65536 32768 -"},
+     'masks.txt:4: bad mask dims 65536x32768: need 1 to 2**31 - 1 pixels'),
+    ("masks-other-image-bad-run", "masks.txt", {4: "z 0 3 3 5:9"},
+     'masks.txt:4: bad run (5,9) in segment 0 of z'),
+    ("masks-duplicate", "masks.txt", {2: "a 0 6 8 10:3"},
+     'masks.txt:2: duplicate segment id 0 in image a'),
+    ("masks-empty-kept", "masks.txt", {2: "a 1 6 8 -"},
+     'masks.txt:2: segment 1 of a is empty'),
+    ("masks-earlier-line-later-column", "masks.txt", {2: "a 1 6 8 10:3,12:1",
+                                                      3: "b 0 5 five 0:5"},
+     'masks.txt:2: bad run (12,1) in segment 1 of a'),
+    ("masks-after-blank-lines", "masks.txt",
+     "a 0 6 8 0:4,8:4\n\n\na 1 6 8 10:3\n \nb 0 5 5 0:5,2:1\nz 0 3 3 -\n",
+     'masks.txt:6: bad run (2,1) in segment 0 of b'),
+    ("masks-crlf", "masks.txt",
+     " a 0 6 8 0:4,8:4 \r\na 1 6 8 10:3\r\n\r\nb 0 5 5 0:5 9\r\nz 0 3 3 -\r\n",
+     'masks.txt:4: expected 5 fields, got 6'),
+    ("scores-field-count", "scores.csv", {3: "a,1,1"},
+     'scores.csv:3: expected 4 fields, got 3'),
+    ("scores-bad-int", "scores.csv", {3: "a,1,one,1.5"},
+     "scores.csv:3: invalid literal for int() with base 10: 'one'"),
+    ("scores-bad-float", "scores.csv", {3: "a,1,1,1.5.5"},
+     "scores.csv:3: could not convert string to float: '1.5.5'"),
+    ("scores-nan", "scores.csv", {3: "a,1,1,nan"},
+     'scores.csv:3: non-finite value nan'),
+    ("scores-class-out-of-range", "scores.csv", {3: "a,1,3,1.5"},
+     'scores.csv:3: segment score with invalid class id 3'),
+    ("scores-class-out-of-range-other-image", "scores.csv", {7: "z,0,0,7.0"},
+     'scores.csv:7: segment score with invalid class id 0'),
+    ("scores-duplicate", "scores.csv", {4: "a,1,1,2.5"},
+     'scores.csv:4: duplicate score for segment 1 of a, class 1'),
+    ("scores-missing", "scores.csv", {4: "z,9,2,2.5"},
+     'scores.csv: missing score for segment 1 of a, class 2'),
+    ("scores-earlier-line-later-column", "scores.csv", {3: "a,1,1,-inf", 4: "a,1,x,2.5"},
+     'scores.csv:3: non-finite value -inf'),
+    ("gt-field-count", "gt.csv", {1: "a,1,0.0,0.0,4.0,3.0"},
+     'gt.csv:1: expected 7 fields, got 6'),
+    ("gt-bad-int", "gt.csv", {1: "a,one,0.0,0.0,4.0,3.0,0"},
+     "gt.csv:1: invalid literal for int() with base 10: 'one'"),
+    ("gt-bad-float", "gt.csv", {1: "a,1,0.0,0.0,4.0,3.0.0,0"},
+     "gt.csv:1: could not convert string to float: '3.0.0'"),
+    ("gt-nan", "gt.csv", {1: "a,1,0.0,nan,4.0,3.0,0"},
+     'gt.csv:1: non-finite value nan'),
+    ("gt-difficult", "gt.csv", {1: "a,1,0.0,0.0,4.0,3.0,2"},
+     'gt.csv:1: difficult flag must be 0 or 1, got 2'),
+    ("gt-class-out-of-range", "gt.csv", {2: "b,3,0.0,0.0,4.0,4.0,1"},
+     'gt.csv:2: ground truth with invalid class id 3'),
+    ("gt-inverted", "gt.csv", {2: "b,2,0.0,4.0,4.0,0.0,1"},
+     'gt.csv:2: inverted box Box(x1=0.0, y1=4.0, x2=4.0, y2=0.0)'),
+    ("gt-outside", "gt.csv", {2: "b,2,0.0,0.0,4.0,5.0,1"},
+     'gt.csv:2: Box(x1=0.0, y1=0.0, x2=4.0, y2=5.0) lies outside the 5x5 image b'),
+    ("gt-earlier-line-later-column", "gt.csv", {1: "a,1,0.0,0.0,4.0,3.0,yes",
+                                                2: "b,2,x,0.0,4.0,4.0,1"},
+     'gt.csv:1: difficult flag must be 0 or 1, got yes'),
+    ("dets-field-count", "dets.csv", {2: "b,2,-0.25,0.0,0.0,4.0,4.0"},
+     'dets.csv:2: expected 8 fields, got 7'),
+    ("dets-bad-int", "dets.csv", {2: "b,two,-0.25,0.0,0.0,4.0,4.0,NONE;0"},
+     "dets.csv:2: invalid literal for int() with base 10: 'two'"),
+    ("dets-bad-float", "dets.csv", {2: "b,2,-0.25,0.0,0.0,4.0,4.0e,NONE;0"},
+     "dets.csv:2: could not convert string to float: '4.0e'"),
+    ("dets-nan", "dets.csv", {2: "b,2,nan,0.0,0.0,4.0,4.0,NONE;0"},
+     'dets.csv:2: non-finite value nan'),
+    ("dets-bad-segment", "dets.csv", {2: "b,2,-0.25,0.0,0.0,4.0,4.0,NONE;x"},
+     "dets.csv:2: invalid literal for int() with base 10: 'x'"),
+    ("dets-class-out-of-range", "dets.csv", {2: "b,0,-0.25,0.0,0.0,4.0,4.0,NONE;0"},
+     'dets.csv:2: detection with invalid class id 0'),
+    ("dets-unknown-image", "dets.csv", {2: "z,2,-0.25,0.0,0.0,4.0,4.0,NONE;0"},
+     'dets.csv:2: detection of image z, which the manifest does not list'),
+    ("dets-inverted", "dets.csv", {2: "b,2,-0.25,4.0,0.0,0.0,4.0,NONE;0"},
+     'dets.csv:2: inverted box Box(x1=4.0, y1=0.0, x2=0.0, y2=4.0)'),
+    ("dets-earlier-line-later-column", "dets.csv", {1: "a,1,0.5,0.0,0.0,4.0,3.0,0;NONE;x",
+                                                    2: "b,x,-0.25,0.0,0.0,4.0,4.0,NONE;0"},
+     "dets.csv:1: invalid literal for int() with base 10: 'x'"),
+]
+
+
+@pytest.mark.parametrize("name,edit,expect", [case[1:] for case in PINNED],
+                         ids=[case[0] for case in PINNED])
+def test_text_table_errors_are_pinned_in_full(tmp_path, name, edit, expect):
+    _tiny_world(tmp_path, name, edit)
+    with pytest.raises(InputError) as raised:
+        _load_tiny(tmp_path)
+    assert str(raised.value) == f"{tmp_path}/{expect}"
+
+
+def test_a_bad_line_before_bytes_that_do_not_decode_is_reported_first(tmp_path):
+    """A text file decodes 8 KiB at a time as it is iterated, so a per-line
+    reader reports line 1 before it reaches the bad byte."""
+    _tiny_world(tmp_path)
+    rows = "".join(f"z,{i},0.0,0.0,1.0,1.0\n" for i in range(1, 1000))
+    (tmp_path / "boxes.csv").write_bytes(b"a,0,0.0,0.0,4.0\n" + rows.encode() + b"\xff\n")
+    with pytest.raises(InputError) as raised:
+        _load_tiny(tmp_path)
+    assert str(raised.value) == f"{tmp_path}/boxes.csv:1: expected 6 fields, got 5"
+
+
+# (file, edit): each reads as TINY_WORLD does
+SAME_VALUES = [
+    ("boxes.csv", "a,0,0.0,0.0,4.0,3.0\r\n\r\n  a,1,1.0,1.0,7.0,5.0  \r\nb,0,0.0,0.0,4.0,4.0\r"
+                  "z,0,-5.0,0.0,99.0,4.0"),
+    ("masks.txt", "\ta 0 6 8 0:4,8:4\r\na  1\t6 8 10:3 \r\n\r\nb 0 5 5 0:5\r\nz 0 3 3 -\r\n"),
+    ("scores.csv", {1: " a,0,1,0.5 ", 2: "\t\ta,0,2,-0.5\r", 7: "z,0,1,7.0\r\n"}),
+    ("gt.csv", "\n\na,1,0.0,0.0,4.0,3.0,0\r\nb,2,0.0,0.0,4.0,4.0,1\r\n\r\n"
+               "z,1,-1.0,0.0,50.0,4.0,0\r\n"),
+    ("dets.csv", {1: "  a,1,0.5,0.0,0.0,4.0,3.0,0;NONE  "}),
+    # int() and float() take underscores between digits, a sign and spaces
+    ("boxes.csv", {1: "a,0_0,0.0,0.0,4.0,3.0", 2: "a, +1,1.0,1.0,7_0e-1,5.0"}),
+    ("masks.txt", {2: "a +1 0_6 8 1_0:+3"}),
+    ("scores.csv", {3: "a,1, +1,1_5e-1", 4: "a,0_1,2,2.5"}),
+    ("gt.csv", {2: "b, +2,0.0,0.0,4.0,4.0,1"}),
+    ("dets.csv", {2: "b, +2,-0.25,0.0,0.0,4.0,4.0,NONE;+0"}),
+]
+
+
+def _fields(dataset, detections):
+    images = [dataset.record(i) for i in dataset.image_order]
+    return ([(r.box_ids, r.boxes, r.rows, r.gts,
+              [(m.segment_id, m.runs.tolist(), m.pixel_count) for m in r.masks])
+             for r in images], dataset.seg_scores,
+            [(d.image_id, d.class_id, d.box_id, d.box, d.score, d.chosen_segments)
+             for d in detections])
+
+
+@pytest.mark.parametrize("name,edit", SAME_VALUES)
+def test_padding_line_endings_and_int_spellings_read_as_before(tmp_path, name, edit):
+    _tiny_world(tmp_path)
+    expect = _fields(*_load_tiny(tmp_path))
+    _tiny_world(tmp_path, name, edit)
+    assert _fields(*_load_tiny(tmp_path)) == expect

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import struct
 from pathlib import Path
 
@@ -155,14 +156,17 @@ def test_seg_scores_roundtrip(tmp_path):
     rows = [("a", 0, 1, -2.5), ("a", 0, 2, 0.125), ("b", 3, 1, 100.0)]
     path = tmp_path / "scores.csv"
     write_seg_scores_file(path, rows)
-    assert read_seg_scores_file(path, 2) == rows
+    sizes = {"a": (4, 4), "b": (4, 4)}
+    assert read_seg_scores_file(path, sizes, 2) == {row[:3]: row[3] for row in rows}
+    # every line is checked, but only the scores of images in sizes are kept
+    assert read_seg_scores_file(path, {"b": (4, 4)}, 2) == {("b", 3, 1): 100.0}
 
 
 def test_seg_scores_reject_inf(tmp_path):
     path = tmp_path / "scores.csv"
     path.write_text("a,0,1,inf\n")
     with pytest.raises(InputError, match="non-finite"):
-        read_seg_scores_file(path, 1)
+        read_seg_scores_file(path, {}, 1)
 
 
 def test_manifest_roundtrip(tmp_path):
@@ -250,6 +254,52 @@ def test_dataset_unknown_image(tmp_path):
         ds.record("zzz")
 
 
+@pytest.fixture(scope="module")
+def small_many(tmp_path_factory):
+    """The 1000-image world of `segdetect synth --images 1000`, seed 0."""
+    from segdetect.synth import SynthConfig, generate
+    root = tmp_path_factory.mktemp("small_many")
+    generate(SynthConfig(seed=0, n_images=1000), str(root))
+    return root
+
+
+def _dataset_digest(dataset):
+    h = hashlib.sha256()
+    for image_id in dataset.image_order:
+        rec = dataset.record(image_id)
+        h.update(repr((image_id, rec.box_ids, rec.rows, rec.boxes, rec.gts,
+                       [(m.segment_id, m.height, m.width, m.pixel_count, m.runs.dtype.str,
+                         m.runs.tolist()) for m in rec.masks])).encode())
+    h.update(repr(sorted((key, score.hex()) for key, score in dataset.seg_scores.items()))
+             .encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("manifest,digest", [
+    ("manifest_train.txt", "39e7c5b230796b1b6001714b9c5b8884276a331686e1b35a745415a6a93210fb"),
+    ("manifest_test.txt", "af367d832c37159c380b6a22129a4d1cb59eb0af2115d5daf242bacf17d17f6d")],
+    ids=["train", "test"])
+def test_dataset_fields_equal_the_per_line_readers(small_many, manifest, digest):
+    """Boxes, feature rows, masks, segment scores and ground truth, as the
+    per-line readers that the column readers replaced loaded them."""
+    dataset = Dataset(read_manifest(small_many / manifest), min_segment_pixels=0)
+    assert _dataset_digest(dataset) == digest
+
+
+def test_dataset_load_peak_memory_is_bounded(small_many):
+    """At most 1 MB above the 10.0 MB that the per-line readers peaked at
+    while loading the train manifest (Python 3.11, numpy 2.4)."""
+    import tracemalloc
+    Dataset(read_manifest(small_many / "manifest_test.txt"), min_segment_pixels=0)
+    tracemalloc.start()
+    try:
+        Dataset(read_manifest(small_many / "manifest_train.txt"), min_segment_pixels=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10.0e6 + 2 ** 20, peak / 1e6
+
+
 def test_config_roundtrip(tmp_path):
     cfg = Config(grid_k=2, eta0=0.05, epochs=7, eleven_point=True)
     path = tmp_path / "config.txt"
@@ -281,7 +331,7 @@ def test_write_records_round_trips_float_bits(tmp_path_factory, values, sep):
     path = tmp_path_factory.mktemp("records") / "floats.txt"
     write_records(path, ((v, np.float64(v)) for v in values), sep=sep)
     assert "np.float64(" not in path.read_text()
-    back = read_records(path, (finite, finite), lambda a, b: (_bits(a), _bits(b)), sep=sep)
+    back = read_records(path, lambda a, b: (_bits(finite(a)), _bits(finite(b))), sep=sep)
     assert back == [(_bits(v), _bits(v)) for v in values]
 
 

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rect_count
 from segdetect.boxes import Box
 from segdetect.errors import BadRle, EmptySegment, NoSegments
-from segdetect.masks import SegmentMask, largest_segment_area, summed_area, tight_box
+from segdetect.masks import (SegmentMask, check_runs, largest_segment_area, summed_area,
+                             tight_box)
 
 
 def test_roundtrip_all_zero():
@@ -67,6 +70,52 @@ def test_runs_array_matches_per_run_oracle():
         assert summed_area(mask).tolist() == naive
         again = SegmentMask("img", 1, h, w, mask.runs.tolist())
         assert again.runs.tolist() == mask.runs.tolist()
+
+
+def reference_check_runs(masks):
+    """Per-run oracle of check_runs on [(total pixels, runs)]: each mask's
+    pixel count, and the index of the first bad run over all masks, or -1."""
+    pixels, bad, k = [], -1, 0
+    for total, runs in masks:
+        prev_end = count = 0
+        for start, length in runs:
+            if bad < 0 and (length < 1 or start < prev_end or start + length > total):
+                bad = k
+            prev_end, count, k = start + length, count + length, k + 1
+        pixels.append(count)
+    return pixels, bad
+
+
+# small values, and values either side of 2**31 and past int64 either way
+RUN_VALUE = st.one_of(st.integers(-3, 45), st.integers(2 ** 31 - 3, 2 ** 31 + 3),
+                      st.integers(2 ** 63 - 2, 2 ** 64 + 5),
+                      st.integers(-2 ** 64, -2 ** 63 + 2))
+
+
+@st.composite
+def _mask_runs(draw):
+    """(total, runs): sorted disjoint runs, possibly none, possibly with one
+    value replaced or two runs swapped."""
+    total = draw(st.sampled_from([1, 7, 40, 2 ** 31 - 1]))
+    cuts = sorted(draw(st.sets(st.integers(0, min(total, 45)), max_size=10)))
+    runs = [[s, e - s] for s, e in zip(cuts[::2], cuts[1::2])]
+    if runs and draw(st.booleans()):
+        runs[draw(st.integers(0, len(runs) - 1))][draw(st.integers(0, 1))] = draw(RUN_VALUE)
+    if len(runs) > 1 and draw(st.booleans()):
+        runs[0], runs[-1] = runs[-1], runs[0]
+    return total, runs
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(masks=st.lists(_mask_runs(), max_size=6))
+def test_check_runs_matches_per_run_oracle(masks):
+    values = [v for _, runs in masks for run in runs for v in run]
+    runs, pixels, bad = check_runs(values, [len(r) for _, r in masks],
+                                   [total for total, _ in masks])
+    ref_pixels, ref_bad = reference_check_runs(masks)
+    assert bad == ref_bad
+    if bad < 0:
+        assert pixels == ref_pixels and runs.tolist() == [r for _, rs in masks for r in rs]
 
 
 def test_tight_box_single_pixel():

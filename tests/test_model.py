@@ -8,6 +8,7 @@ from segdetect.boxes import Box
 from segdetect.errors import InputError
 from segdetect.masks import SegmentMask
 from segdetect.model import (SCORE_CHUNK_FLOATS, Detection, ModelWeights, detect_image,
+                             overlap_matrix,
                              load_model, nms, read_detections, save_model, score_box,
                              score_boxes, select_segment, write_detections)
 from segdetect.segfeat import GridSpec, assemble_block, block_length
@@ -400,6 +401,49 @@ def test_nms_order_independent(rng):
     kept = nms([boxes[i] for i in perm], [scores[i] for i in perm],
                [ids[i] for i in perm], 0.3)
     assert {ids[perm[i]] for i in kept} == ref
+
+
+def _boxes_bundle(rng, n_boxes, n_classes, n_segs=3, grid_k=2):
+    """A bundle of n_boxes boxes in a 120x90 image, with random cached features."""
+    from segdetect.model import FeatureBundle
+    boxes = random_boxes(rng, n_boxes, 120, 90)
+    boxes[10:20] = boxes[:10]                              # identical boxes
+    return FeatureBundle("img", 120, 90, [int(i) for i in rng.permutation(n_boxes)], boxes,
+                         rng.normal(0, 1, (n_boxes, 4)), rng.normal(0, 1, (n_boxes, 3)),
+                         list(range(n_segs)),
+                         rng.random((n_boxes, n_segs, block_length(grid_k))),
+                         rng.random((n_segs, n_classes)))
+
+
+def test_detect_image_keeps_what_per_detector_nms_keeps(rng):
+    """500 boxes, 20 classes: every detector's greedy pass reads the one
+    overlap matrix, and keeps what nms and the quadratic reference keep."""
+    bundle = _boxes_bundle(rng, 500, 20)
+    weights = random_weights(rng, 20, 2, 4, 3)
+    expect = []
+    for detector in range(1, 21):
+        scores, chosen = score_boxes(bundle, weights, detector)
+        kept = nms(bundle.boxes, scores, bundle.box_ids, 0.3)
+        assert len(kept) > 40
+        if detector <= 3:      # the reference takes about 0.1 s per detector
+            assert kept == quadratic_nms(bundle.boxes, scores, bundle.box_ids, 0.3)
+        expect += [(detector, bundle.box_ids[i], scores[i], chosen[i]) for i in kept[:40]]
+    assert [(d.class_id, d.box_id, d.score, d.chosen_segments)
+            for d in detect_image(bundle, weights, 0.3, 40)] == expect
+
+
+def test_overlap_matrix_working_memory_is_bounded_by_the_block(rng):
+    """500 boxes: at most 1 MB above the n x n bool output."""
+    import tracemalloc
+    boxes = random_boxes(rng, 500, 500, 375)
+    tracemalloc.start()
+    try:
+        out = overlap_matrix(boxes, 0.3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (500, 500) and out.dtype == bool
+    assert peak - out.nbytes <= 2 ** 20, (peak - out.nbytes) / 2 ** 20
 
 
 def test_detect_image_top_k(rng):
