@@ -8,7 +8,7 @@ write_records, whose repr(float) floats read back bit for bit.
 
 from __future__ import annotations
 
-import bisect
+import contextlib
 import itertools
 import math
 import os
@@ -19,7 +19,7 @@ import numpy as np
 
 from .boxes import Box
 from .errors import InputError
-from .masks import MAX_PIXELS, SegmentMask, bad_run, check_runs, dims_error
+from .masks import MAX_PIXELS, SegmentMask, check_runs
 
 FEATURE_MAGIC = b"SDMF"
 FEATURE_VERSION = 1
@@ -66,19 +66,15 @@ def read_feature_matrix(path):
 # ---------------------------------------------------------------------------
 # line-oriented text files
 
-# characters a block of lines holds (or one longer line), which bounds a
-# table reader's transient memory
+# characters in a block of lines (or one longer line): bounds a table reader's memory
 BLOCK_CHARS = 2 ** 16
 
 
 def _line_blocks(path):
-    """(line numbers, lines) of a text file, a block of about BLOCK_CHARS
-    characters at a time: the one line source of every text reader.
-
-    The file is read once with universal newlines and split at "\\n"; lines
-    are stripped and blank ones skipped.  Bytes that do not decode raise
-    after the lines that iterating the file yields before them, which the
-    error path reads again one at a time.
+    """(line numbers, lines) of a text file, about BLOCK_CHARS characters at a
+    time: the one line source of every text reader.  Lines are split at "\\n"
+    with universal newlines, stripped, and blank ones skipped.  Bytes that do
+    not decode raise after the lines before them, as iterating the file does.
     """
     lineno = 0
     try:
@@ -86,16 +82,12 @@ def _line_blocks(path):
             while chunk := f.readlines(BLOCK_CHARS):
                 yield _numbered(lineno, chunk)
                 lineno += len(chunk)
-    except UnicodeDecodeError:    # the block read lost the lines before the bytes
-        rest, error = [], None
-        with open(path) as f:
-            try:
-                for line in itertools.islice(f, lineno, None):
-                    rest.append(line)
-            except UnicodeDecodeError as e:
-                error = e
+    except UnicodeDecodeError as e:    # readlines dropped its block's lines before the bytes
+        rest = []
+        with contextlib.suppress(UnicodeDecodeError), open(path) as f:
+            rest.extend(itertools.islice(f, lineno, None))
         yield _numbered(lineno, rest)
-        raise InputError(f"cannot read {path}: {error}") from error
+        raise InputError(f"cannot read {path}: {e}") from e
     except OSError as e:
         raise InputError(f"cannot read {path}: {e.strerror or e}") from e
 
@@ -119,100 +111,80 @@ def read_records(path, build, sep=None):
     return records
 
 
-def read_table(path, types, sep=","):
-    """A Table per block of a text file's lines."""
-    for numbers, lines in _line_blocks(path):
-        if lines:
-            yield Table(path, numbers, lines, types, sep)
+def read_table(path, types, rows, sep=","):
+    """rows(*columns) of each block of a text file's lines, concatenated.
 
-
-def _each(convert, tokens):
-    """convert(tok) for each of tokens, converting each distinct token once."""
-    distinct = set(tokens)
-    return map(dict(zip(distinct, map(convert, distinct))).__getitem__, tokens)
-
-
-class Table:
-    """Lines of len(types) fields, converted and checked a column at a time.
-
-    `columns` holds each field through its type; float fields are arrays of
-    finite values.  Each conversion and check runs on the rows before the
-    first failure so far, in a per-line reader's order, so the failure kept
-    is the one that reader raises first.
+    A line holds one field per entry of types; a block's fields go through
+    their types a column at a time, and a float column becomes an array of
+    finite values.  rows raises ValueError or InputError for a bad block,
+    which is then read again a line at a time, so the error raised, as
+    path:lineno, is the first bad line's.  So rows checks a line as a
+    per-line reader would, in its order, and changes its state only on a
+    block that passes.
     """
-
-    def __init__(self, path, numbers, lines, types, sep):
-        self.path, self.numbers, self.n, self.error, k = path, numbers, len(lines), None, len(types)
-        if ({c + 1 for c in set(map(str.count, lines, itertools.repeat(sep)))} if sep
-                else set(map(len, map(str.split, lines)))) != {k}:
-            self.check([len(line.split(sep)) != k for line in lines],
-                       lambda i: f"expected {k} fields, got {len(lines[i].split(sep))}")
-        flat = (sep or " ").join(lines[:self.n]).split(sep) if self.n else []
-        self.columns = [self.convert(flat[j::k], convert) for j, convert in enumerate(types)]
-
-    def fail(self, row, message):
-        if row < self.n:
-            self.n, self.error = row, message
-
-    def check(self, bad, redo):
-        """Fail the first row where bad holds, with redo(row)'s message or error."""
-        for i in np.flatnonzero(bad[:self.n])[:1].tolist():
-            try:
-                self.fail(i, redo(i))
-            except (ValueError, InputError) as e:
-                self.fail(i, str(e))
-
-    def convert(self, col, convert):
-        """col through convert; the first row it rejects fails."""
-        col = col[:self.n]
+    out = []
+    for numbers, lines in _line_blocks(path):
         try:
-            values = col if convert is str else list(_each(convert, col))
-        except ValueError:
-            for i, tok in enumerate(col):
+            out += rows(*_columns(lines, types, sep)) if lines else []
+        except (ValueError, InputError):
+            for lineno, line in zip(numbers, lines):
                 try:
-                    convert(tok)
-                except ValueError as e:
-                    self.fail(i, str(e))
-                    return self.convert(col, convert)
+                    out += rows(*_columns([line], types, sep))
+                except (ValueError, InputError) as e:
+                    raise InputError(f"{path}:{lineno}: {e}") from e
+    return out
+
+
+def _columns(lines, types, sep):
+    k = len(types)
+    counts = (set(map(len, map(str.split, lines))) if sep is None
+              else {n + 1 for n in set(map(str.count, lines, itertools.repeat(sep)))})
+    if counts != {k}:
+        raise ValueError(f"expected {k} fields, got {max(counts - {k})}")
+    flat = (sep or " ").join(lines).split(sep)
+    columns = []
+    for j, convert in enumerate(types):
+        col = flat[j::k]
+        columns.append(col if convert is str else list(map(convert, col)))
         if convert is float:
-            values = np.array(values, dtype=np.float64)
-            self.check(~np.isfinite(values), lambda i: f"non-finite value {col[i]}")
-        return values
+            columns[-1] = np.array(columns[-1])
+            check(~np.isfinite(columns[-1]), lambda i: f"non-finite value {col[i]}")
+    return columns
 
-    def unique(self, seen, keys, message):
-        """Fail the first row whose key is in seen; seen gains the keys."""
-        new = set(keys := keys[:self.n])
-        if len(new) < len(keys) or not seen.isdisjoint(new):
-            for i, key in enumerate(keys):
-                if key in seen:
-                    return self.fail(i, message(i))
-                seen.add(key)
-        seen |= new
 
-    def class_ids(self, classes, n_classes, what):
-        if n_classes and classes and not 1 <= min(classes) <= max(classes) <= n_classes:
-            self.check([not 1 <= c <= n_classes for c in classes],
-                       lambda i: f"{what} with invalid class id {classes[i]}")
+def check(bad, message):
+    """Raise ValueError(message(i)) for the first row i where bad holds."""
+    if np.any(bad):
+        raise ValueError(message(int(np.argmax(bad))))
 
-    def boxes(self, corners, sizes):
-        """Fail corners (x1, y1, x2, y2) that make no Box, then a box outside
-        its image (field 0) in sizes; returns whether sizes holds the image."""
-        images, (x1, y1, x2, y2) = self.columns[0], (v[:self.n] for v in corners)
 
-        def box(i):
-            return Box(float(x1[i]), float(y1[i]), float(x2[i]), float(y2[i]))
-        self.check((x1 > x2) | (y1 > y2), box)
-        index = dict(zip(sizes, itertools.count(1)))
-        rows = np.fromiter(map(index.get, images[:self.n], itertools.repeat(0)), np.int64)
-        w, h = np.array([(0, 0), *sizes.values()], dtype=np.int64)[rows].T
-        n = len(rows)
-        self.check((w > 0) & ((x1[:n] < 0) | (y1[:n] < 0) | (x2[:n] > w - 1) | (y2[:n] > h - 1)),
-                   lambda i: f"{box(i)} lies outside the {w[i]}x{h[i]} image {images[i]}")
-        return w > 0
+def _unique(seen, keys, message):
+    """`check` that no key is in seen or repeats; seen is not changed."""
+    if len(set(keys)) < len(keys) or not seen.isdisjoint(keys):
+        seen = set(seen)
+        check([key in seen or seen.add(key) or False for key in keys], message)
 
-    def done(self):
-        if self.error is not None:
-            raise InputError(f"{self.path}:{self.numbers[self.n]}: {self.error}")
+
+def class_ids(classes, n_classes, what):
+    """`check` that class ids lie in 1..n_classes, when n_classes is known."""
+    if n_classes and not 1 <= min(classes) <= max(classes) <= n_classes:
+        check([not 1 <= c <= n_classes for c in classes],
+              lambda i: f"{what} with invalid class id {classes[i]}")
+
+
+def box_rows(images, corners, sizes):
+    """Whether each row's image is in sizes, after a `check` that corners
+    (x1, y1, x2, y2) make a Box, then that the box lies inside its image."""
+    x1, y1, x2, y2 = corners
+
+    def box(i):
+        return Box(*(float(v[i]) for v in corners))
+    check((x1 > x2) | (y1 > y2), box)
+    w, h = np.array([sizes.get(image_id, (0, 0)) for image_id in images],
+                    dtype=np.int64).reshape(-1, 2).T
+    check((w > 0) & ((x1 < 0) | (y1 < 0) | (x2 > w - 1) | (y2 > h - 1)),
+          lambda i: f"{box(i)} lies outside the {w[i]}x{h[i]} image {images[i]}")
+    return w > 0
 
 
 def write_records(path, rows, sep=","):
@@ -288,16 +260,16 @@ def read_boxes_file(path, sizes):
     Every line is checked: box ids are unique within an image, and the boxes
     of images in sizes lie inside them.
     """
-    rows, seen = [], set()
-    for t in read_table(path, (str, int, float, float, float, float)):
-        images, ids, *corners = t.columns
-        t.unique(seen, list(zip(images, ids)),
-                 lambda i: f"duplicate box id {ids[i]} in image {images[i]}")
-        known = t.boxes(corners, sizes)
-        t.done()
-        rows += [(image_id, box_id, Box(*xy)) if k else None for image_id, box_id, k, *xy
-                 in zip(images, ids, known.tolist(), *(v.tolist() for v in corners))]
-    return rows
+    seen = set()
+
+    def rows(images, ids, *corners):
+        keys = list(zip(images, ids))
+        _unique(seen, keys, lambda i: f"duplicate box id {ids[i]} in image {images[i]}")
+        known = box_rows(images, corners, sizes)
+        seen.update(keys)
+        return [(image_id, box_id, Box(*xy)) if k else None for image_id, box_id, k, *xy
+                in zip(images, ids, known.tolist(), *(v.tolist() for v in corners))]
+    return read_table(path, (str, int, float, float, float, float), rows)
 
 
 def write_masks_file(path, masks):
@@ -311,29 +283,18 @@ def _runs(text):
     return [(int(start), int(length)) for start, length in pairs]
 
 
-def _run_values(t, texts):
-    """The flat start, length ints of the rows' runs, and each row's run count.
-
-    The ints are an int64 array, or a list if one is past int64.  A row
-    whose runs _runs rejects fails, and the rows before it are read.
-    """
-    texts = texts[:t.n]
+def _run_values(texts):
+    """The flat start, length ints of texts' runs, and each text's run count;
+    raises _runs' error for a text it rejects."""
     joined = ",".join([text for text in texts if text != "-"])
     seps = np.frombuffer(joined.encode(), np.uint8)
     seps = seps[(seps == ord(",")) | (seps == ord(":"))]
-    tokens = joined.replace(":", ",").split(",") if joined else []
-    try:
-        # _runs takes a text whose separators alternate ":", ",", ... ":"
-        if joined and (len(seps) % 2 == 0 or (seps[::2] != ord(":")).any()
-                       or (seps[1::2] != ord(",")).any()):
-            raise ValueError
-        values = np.fromiter(_each(int, tokens), np.int64, len(tokens))
-    except OverflowError:
-        values = list(_each(int, tokens))
-    except ValueError:
-        t.convert(texts, _runs)
-        return _run_values(t, texts)
-    return values, [0 if text == "-" else text.count(",") + 1 for text in texts]
+    # _runs takes a text whose separators alternate ":", ",", ... ":"
+    if joined and (len(seps) % 2 == 0 or (seps[::2] != ord(":")).any()
+                   or (seps[1::2] != ord(",")).any()):
+        list(map(_runs, texts))
+    return (list(map(int, joined.replace(":", ",").split(","))) if joined else [],
+            [0 if text == "-" else text.count(",") + 1 for text in texts])
 
 
 def read_masks_file(path, sizes, min_pixels):
@@ -344,33 +305,27 @@ def read_masks_file(path, sizes, min_pixels):
     one pixel: an empty mask has no features.  Segment ids are unique within
     an image.
     """
-    masks, seen = [], set()
-    for t in read_table(path, (str, int, int, int, str), sep=None):
-        images, segs, heights, widths, texts = t.columns
-        values, counts = _run_values(t, texts)
-        t.unique(seen, list(zip(images, segs)),
-                 lambda i: f"duplicate segment id {segs[i]} in image {images[i]}")
-        shapes = [sizes.get(image_id) for image_id in images[:t.n]]
-        t.check([size != (w, h) if size else dims_error(h, w) is not None
-                 for size, h, w in zip(shapes, heights, widths)],
-                lambda i: f"mask dims {heights[i]}x{widths[i]} differ from image "
-                          f"{images[i]} dims {shapes[i][1]}x{shapes[i][0]}"
-                if shapes[i] else str(dims_error(heights[i], widths[i])))
+    seen = set()
+
+    def rows(images, segs, heights, widths, texts):
+        values, counts = _run_values(texts)
+        keys = list(zip(images, segs))
+        _unique(seen, keys, lambda i: f"duplicate segment id {segs[i]} in image {images[i]}")
+        shapes = [sizes.get(image_id) for image_id in images]
+        check([size not in (None, (w, h)) for size, h, w in zip(shapes, heights, widths)],
+              lambda i: f"mask dims {heights[i]}x{widths[i]} differ from image "
+                        f"{images[i]} dims {shapes[i][1]}x{shapes[i][0]}")
         if min_pixels <= 0:
-            t.check([size is not None and not count for size, count in zip(shapes, counts)],
-                    lambda i: f"segment {segs[i]} of {images[i]} is empty")
-        offsets = [0, *itertools.accumulate(counts[:t.n])]
-        runs, pixels, bad = check_runs(values[:2 * offsets[-1]], counts[:t.n],
-                                       [h * w for h, w in zip(heights[:t.n], widths)])
-        if bad >= 0:
-            row = bisect.bisect_right(offsets, bad) - 1
-            t.fail(row, str(bad_run(values, bad, segs[row], images[row])))
-        t.done()
-        masks += [SegmentMask(image_id, seg, h, w, runs[lo:hi], count)
-                  for image_id, seg, h, w, size, lo, hi, count
-                  in zip(images, segs, heights, widths, shapes, offsets, offsets[1:], pixels)
-                  if size and count >= min_pixels]
-    return masks
+            check([size is not None and not count for size, count in zip(shapes, counts)],
+                  lambda i: f"segment {segs[i]} of {images[i]} is empty")
+        runs, pixels = check_runs(values, counts, heights, widths, keys)
+        offsets = [0, *itertools.accumulate(counts)]
+        seen.update(keys)
+        return [SegmentMask(image_id, seg, h, w, runs[lo:hi], count)
+                for image_id, seg, h, w, size, lo, hi, count
+                in zip(images, segs, heights, widths, shapes, offsets, offsets[1:], pixels)
+                if size and count >= min_pixels]
+    return read_table(path, (str, int, int, int, str), rows, sep=None)
 
 
 def write_gt_file(path, gts):
@@ -392,16 +347,14 @@ def read_gt_file(path, sizes, n_classes):
     Every line is checked: class ids lie in 1..n_classes, and boxes are
     checked as read_boxes_file checks them.
     """
-    gts = []
-    for t in read_table(path, (str, int, float, float, float, float, _difficult)):
-        images, classes, *corners, difficult = t.columns
-        t.class_ids(classes, n_classes, "ground truth")
-        known = t.boxes(corners, sizes)
-        t.done()
-        gts += [(image_id, class_id, Box(*xy), flag) for image_id, class_id, flag, k, *xy
+    def rows(images, classes, *fields):
+        *corners, difficult = fields
+        class_ids(classes, n_classes, "ground truth")
+        known = box_rows(images, corners, sizes)
+        return [(image_id, class_id, Box(*xy), flag) for image_id, class_id, flag, k, *xy
                 in zip(images, classes, difficult, known.tolist(),
                        *(v.tolist() for v in corners)) if k]
-    return gts
+    return read_table(path, (str, int, float, float, float, float, _difficult), rows)
 
 
 def write_seg_scores_file(path, rows):
@@ -415,17 +368,16 @@ def read_seg_scores_file(path, sizes, n_classes):
     Every line is checked: class ids lie in 1..n_classes, and each key is on
     one line at most.
     """
-    scores, seen = {}, set()
-    for t in read_table(path, (str, int, int, float)):
-        images, segs, classes, values = t.columns
-        t.class_ids(classes, n_classes, "segment score")
+    seen = set()
+
+    def rows(images, segs, classes, values):
+        class_ids(classes, n_classes, "segment score")
         keys = list(zip(images, segs, classes))
-        t.unique(seen, keys, lambda i: f"duplicate score for segment {segs[i]} of "
-                                       f"{images[i]}, class {classes[i]}")
-        t.done()
-        scores.update((key, score) for key, score in zip(keys, values.tolist())
-                      if key[0] in sizes)
-    return scores
+        _unique(seen, keys, lambda i: f"duplicate score for segment {segs[i]} of "
+                                      f"{images[i]}, class {classes[i]}")
+        seen.update(keys)
+        return [(key, score) for key, score in zip(keys, values.tolist()) if key[0] in sizes]
+    return dict(read_table(path, (str, int, int, float), rows))
 
 
 # ---------------------------------------------------------------------------

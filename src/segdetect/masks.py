@@ -21,21 +21,17 @@ MAX_PIXELS = 2 ** 31    # a mask holds fewer pixels: summed_area() counts in int
 class SegmentMask:
     """Binary mask of one region proposal, stored as row-major (start, length) runs.
 
-    `runs` is one (n, 2) int32 array.  Given as (start, length) pairs of
-    Python ints, the runs are checked here, so an out-of-range value raises
-    BadRle.  Given with their pixel count, they are an (n, 2) int array of
-    runs known to be good: from a block that passed `check_runs`, or a
-    clipped rectangle.
+    `runs` is one (n, 2) int32 array.  Given as (start, length) pairs, the
+    runs go through `check_runs`, so an out-of-range value raises BadRle.
+    Given with their pixel count, they are an (n, 2) int array of runs known
+    to be good: from a block that passed `check_runs`, or a clipped rectangle.
     """
 
     def __init__(self, image_id, segment_id, height, width, runs, pixel_count=None):
         if pixel_count is None:
-            if (error := dims_error(height, width)) is not None:
-                raise error
-            values = list(itertools.chain.from_iterable(runs))
-            runs, (pixel_count,), bad = check_runs(values, [len(runs)], [height * width])
-            if bad >= 0:
-                raise bad_run(values, bad, segment_id, image_id)
+            runs, (pixel_count,) = check_runs(list(itertools.chain.from_iterable(runs)),
+                                              [len(runs)], [height], [width],
+                                              [(image_id, segment_id)])
         self.image_id = image_id
         self.segment_id = segment_id
         self.height = height
@@ -73,46 +69,42 @@ class SegmentMask:
         return self._integral
 
 
-def dims_error(height, width):
-    """The BadRle for dims that do not hold 1 to 2**31 - 1 pixels, else None."""
-    if height < 1 or width < 1 or height * width >= MAX_PIXELS:
-        return BadRle(f"bad mask dims {height}x{width}: need 1 to 2**31 - 1 pixels")
-    return None
-
-
-def check_runs(values, counts, totals):
-    """Check the runs of a block of masks in one pass.
+def check_runs(values, counts, heights, widths, names):
+    """The (n, 2) int64 runs and the pixel counts of a block of masks, checked at once.
 
     values holds the flat start, length ints of every mask's runs in turn:
-    counts[k] runs of mask k, whose dims hold totals[k] pixels (1 to
-    2**31 - 1).  Each run must be non-empty, after the previous run of its
-    mask and inside the mask.  Returns the (n, 2) int64 runs, each mask's
-    pixel count, and the index of the first bad run, or -1.  A value past
-    int64 is clamped to it, which keeps its run bad.
+    counts[k] runs of mask k, of dims heights[k] x widths[k], which names[k]
+    = (image_id, segment_id) names.  The dims must hold 1 to 2**31 - 1
+    pixels, and each run must be non-empty, after the previous run of its
+    mask and inside the mask.  BadRle names the first mask with bad dims, or
+    else the first bad run.  A value past int64 is clamped, which keeps its
+    run bad.
     """
+    dims = [h < 1 or w < 1 or h * w >= MAX_PIXELS for h, w in zip(heights, widths)]
+    if any(dims):
+        k = dims.index(True)
+        raise BadRle(f"bad mask dims {heights[k]}x{widths[k]}: need 1 to 2**31 - 1 pixels")
     try:
         runs = np.asarray(values, dtype=np.int64).reshape(-1, 2)
     except OverflowError:
         runs = np.array([min(max(v, -2 ** 63), 2 ** 63 - 1) for v in values],
                         dtype=np.int64).reshape(-1, 2)
-    starts, lengths = runs[:, 0], runs[:, 1]
+    starts, lengths = runs.T
     counts = np.asarray(counts, dtype=np.int64)
     ends = np.cumsum(counts)
     firsts = ends - counts
     # a run after a bad one may wrap around; only the first bad run is read
     prev_end = np.concatenate(([0], starts[:-1] + lengths[:-1]))[:len(runs)]
     prev_end[firsts[firsts < len(runs)]] = 0
-    bad = ((lengths < 1) | (starts < prev_end)
-           | (lengths > np.repeat(np.asarray(totals, dtype=np.int64), counts) - starts))
+    totals = np.repeat([h * w for h, w in zip(heights, widths)], counts)
+    bad = (lengths < 1) | (starts < prev_end) | (lengths > totals - starts)
+    if bad.any():
+        k = int(bad.argmax())
+        image_id, segment_id = names[np.searchsorted(ends, k, side="right")]
+        raise BadRle(f"bad run ({values[2 * k]},{values[2 * k + 1]}) in segment "
+                     f"{segment_id} of {image_id}")
     summed = np.concatenate(([0], np.cumsum(lengths)))
-    return (runs, (summed[ends] - summed[firsts]).tolist(),
-            int(bad.argmax()) if bad.any() else -1)
-
-
-def bad_run(values, k, segment_id, image_id):
-    """The BadRle for run k of check_runs' values."""
-    return BadRle(f"bad run ({values[2 * k]},{values[2 * k + 1]}) in segment {segment_id} "
-                  f"of {image_id}")
+    return runs, (summed[ends] - summed[firsts]).tolist()
 
 
 def summed_area(mask: SegmentMask) -> np.ndarray:

@@ -8,13 +8,15 @@ independent across classes, so maximizing each class on its own is exact.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .boxes import Box, iou_row, rounded_corners
 from .config import check_range
-from .dataset import finite, read_blocks, read_table, write_records
+from .dataset import (box_rows, check, class_ids, finite, read_blocks, read_table,
+                      write_records)
 from .errors import InputError
 from .segfeat import GridSpec, assemble_block, block_length, segclass_feat
 from .masks import largest_segment_area, summed_area
@@ -261,14 +263,11 @@ def overlap_matrix(boxes, iou_thresh):
     return out
 
 
-def nms(boxes, scores, box_ids, iou_thresh, overlap=None):
-    """Greedy suppression; returns kept indices, higher score (then lower id) first.
-
-    overlap: `overlap_matrix(boxes, iou_thresh)`, when the caller has it already.
-    """
-    overlap = overlap_matrix(boxes, iou_thresh) if overlap is None else overlap
-    order = sorted(range(len(boxes)), key=lambda i: (-scores[i], box_ids[i]))
-    suppressed = np.zeros(len(boxes), dtype=bool)
+def nms(overlap, scores, box_ids):
+    """Greedy suppression on `overlap_matrix(boxes, iou_thresh)`; returns kept
+    indices, higher score (then lower id) first."""
+    order = sorted(range(len(scores)), key=lambda i: (-scores[i], box_ids[i]))
+    suppressed = np.zeros(len(scores), dtype=bool)
     kept = []
     for i in order:
         if not suppressed[i]:
@@ -283,7 +282,7 @@ def detect_image(bundle: FeatureBundle, weights: ModelWeights, nms_iou, top_k):
     detections = []
     for detector in range(1, weights.n_classes + 1):
         scores, chosen = score_boxes(bundle, weights, detector)
-        kept = nms(bundle.boxes, scores, bundle.box_ids, nms_iou, overlap)[:top_k]
+        kept = nms(overlap, scores, bundle.box_ids)[:top_k]
         for i in kept:
             detections.append(Detection(
                 bundle.image_id, detector, bundle.box_ids[i], bundle.boxes[i],
@@ -307,22 +306,20 @@ def read_detections(path, dataset=None):
 
     With a Dataset, class ids must lie in 1..C and image ids must be its own.
     """
-    detections = []
-    for t in read_table(path, (str, int, float, float, float, float, float, _segments)):
-        images, classes, scores, *corners, segments = t.columns
+    box_ids = itertools.count(1)
+
+    def rows(images, classes, scores, *fields):
+        *corners, segments = fields
         if dataset:
-            t.check([image_id not in dataset.images for image_id in images],
-                    lambda i: f"detection of image {images[i]}, which the manifest "
-                              "does not list")
-        t.class_ids(classes, dataset and dataset.n_classes, "detection")
-        t.boxes(corners, {})
-        t.done()
-        # list(segs): _each hands one list to every line with the same field
-        detections += [Detection(image_id, class_id, box_id, Box(*xy), score, list(segs))
-                       for box_id, (image_id, class_id, score, segs, *xy) in enumerate(
-                           zip(images, classes, scores.tolist(), segments,
-                               *(v.tolist() for v in corners)), len(detections) + 1)]
-    return detections
+            check([image_id not in dataset.images for image_id in images],
+                  lambda i: f"detection of image {images[i]}, which the manifest "
+                            "does not list")
+        class_ids(classes, dataset and dataset.n_classes, "detection")
+        box_rows(images, corners, {})
+        return [Detection(image_id, class_id, next(box_ids), Box(*xy), score, segs)
+                for image_id, class_id, score, segs, *xy in zip(
+                    images, classes, scores.tolist(), segments, *(v.tolist() for v in corners))]
+    return read_table(path, (str, int, float, float, float, float, float, _segments), rows)
 
 
 def _segments(text):

@@ -74,14 +74,15 @@ def test_runs_array_matches_per_run_oracle():
 
 def reference_check_runs(masks):
     """Per-run oracle of check_runs on [(total pixels, runs)]: each mask's
-    pixel count, and the index of the first bad run over all masks, or -1."""
-    pixels, bad, k = [], -1, 0
-    for total, runs in masks:
+    pixel count, and the (mask, start, length) of the first bad run over all
+    masks, or None."""
+    pixels, bad = [], None
+    for k, (total, runs) in enumerate(masks):
         prev_end = count = 0
         for start, length in runs:
-            if bad < 0 and (length < 1 or start < prev_end or start + length > total):
-                bad = k
-            prev_end, count, k = start + length, count + length, k + 1
+            if bad is None and (length < 1 or start < prev_end or start + length > total):
+                bad = (k, start, length)
+            prev_end, count = start + length, count + length
         pixels.append(count)
     return pixels, bad
 
@@ -110,12 +111,25 @@ def _mask_runs(draw):
 @given(masks=st.lists(_mask_runs(), max_size=6))
 def test_check_runs_matches_per_run_oracle(masks):
     values = [v for _, runs in masks for run in runs for v in run]
-    runs, pixels, bad = check_runs(values, [len(r) for _, r in masks],
-                                   [total for total, _ in masks])
     ref_pixels, ref_bad = reference_check_runs(masks)
-    assert bad == ref_bad
-    if bad < 0:
+    try:
+        runs, pixels = check_runs(values, [len(r) for _, r in masks], [1] * len(masks),
+                                  [total for total, _ in masks],
+                                  [("img", k) for k in range(len(masks))])
+    except BadRle as e:
+        assert ref_bad is not None
+        k, start, length = ref_bad
+        assert str(e) == f"bad run ({start},{length}) in segment {k} of img"
+    else:
+        assert ref_bad is None
         assert pixels == ref_pixels and runs.tolist() == [r for _, rs in masks for r in rs]
+
+
+@pytest.mark.parametrize("dims", [(0, 4), (4, -1), (2 ** 16, 2 ** 15), (2 ** 70, 1)])
+def test_check_runs_names_bad_dims_before_bad_runs(dims):
+    with pytest.raises(BadRle, match=f"^bad mask dims {dims[0]}x{dims[1]}: "):
+        check_runs([0, 5, 3, 4], [2, 0], [4, *dims[:1]], [4, *dims[1:]],
+                   [("img", 0), ("img", 1)])
 
 
 def test_tight_box_single_pixel():

@@ -8,9 +8,8 @@ from segdetect.boxes import Box
 from segdetect.errors import InputError
 from segdetect.masks import SegmentMask
 from segdetect.model import (SCORE_CHUNK_FLOATS, Detection, ModelWeights, detect_image,
-                             overlap_matrix,
-                             load_model, nms, read_detections, save_model, score_box,
-                             score_boxes, select_segment, write_detections)
+                             load_model, nms, overlap_matrix, read_detections, save_model,
+                             score_box, score_boxes, select_segment, write_detections)
 from segdetect.segfeat import GridSpec, assemble_block, block_length
 
 
@@ -360,15 +359,20 @@ def quadratic_nms(boxes, scores, box_ids, thresh):
     return kept
 
 
+def nms_of(boxes, scores, box_ids, thresh):
+    """nms on the overlap matrix of boxes."""
+    return nms(overlap_matrix(boxes, thresh), scores, box_ids)
+
+
 def test_nms_identical_boxes():
     boxes = [Box(0, 0, 9, 9), Box(0, 0, 9, 9)]
-    kept = nms(boxes, [0.9, 0.8], [0, 1], 0.5)
+    kept = nms_of(boxes, [0.9, 0.8], [0, 1], 0.5)
     assert kept == [0]
 
 
 def test_nms_disjoint_all_survive():
     boxes = [Box(0, 0, 4, 4), Box(10, 10, 14, 14), Box(20, 0, 24, 4)]
-    assert sorted(nms(boxes, [0.1, 0.9, 0.5], [0, 1, 2], 0.3)) == [0, 1, 2]
+    assert sorted(nms_of(boxes, [0.1, 0.9, 0.5], [0, 1, 2], 0.3)) == [0, 1, 2]
 
 
 def test_nms_matches_quadratic_reference(rng):
@@ -376,7 +380,7 @@ def test_nms_matches_quadratic_reference(rng):
         boxes = random_boxes(rng, 50, 40, 40)
         scores = list(rng.normal(0, 1, 50))
         ids = list(range(50))
-        assert nms(boxes, scores, ids, 0.3) == quadratic_nms(boxes, scores, ids, 0.3)
+        assert nms_of(boxes, scores, ids, 0.3) == quadratic_nms(boxes, scores, ids, 0.3)
 
 
 @pytest.mark.parametrize("thresh", [0.0, 0.3, 1.0])
@@ -388,17 +392,17 @@ def test_nms_matches_quadratic_reference_on_ties(rng, thresh):
                   for b in boxes[6:12] if b.y2 - 0.5 >= b.y1]   # rounding halves
         scores = [float(v) for v in rng.integers(0, 3, len(boxes))]   # equal scores
         ids = [int(i) for i in rng.permutation(len(boxes))]
-        assert nms(boxes, scores, ids, thresh) == quadratic_nms(boxes, scores, ids, thresh)
-    assert nms([], [], [], thresh) == []
+        assert nms_of(boxes, scores, ids, thresh) == quadratic_nms(boxes, scores, ids, thresh)
+    assert nms_of([], [], [], thresh) == []
 
 
 def test_nms_order_independent(rng):
     boxes = random_boxes(rng, 20, 30, 30)
     scores = list(rng.normal(0, 1, 20))   # distinct with prob 1
     ids = list(range(20))
-    ref = {ids[i] for i in nms(boxes, scores, ids, 0.3)}
+    ref = {ids[i] for i in nms_of(boxes, scores, ids, 0.3)}
     perm = rng.permutation(20)
-    kept = nms([boxes[i] for i in perm], [scores[i] for i in perm],
+    kept = nms_of([boxes[i] for i in perm], [scores[i] for i in perm],
                [ids[i] for i in perm], 0.3)
     assert {ids[perm[i]] for i in kept} == ref
 
@@ -423,7 +427,7 @@ def test_detect_image_keeps_what_per_detector_nms_keeps(rng):
     expect = []
     for detector in range(1, 21):
         scores, chosen = score_boxes(bundle, weights, detector)
-        kept = nms(bundle.boxes, scores, bundle.box_ids, 0.3)
+        kept = nms_of(bundle.boxes, scores, bundle.box_ids, 0.3)
         assert len(kept) > 40
         if detector <= 3:      # the reference takes about 0.1 s per detector
             assert kept == quadratic_nms(bundle.boxes, scores, bundle.box_ids, 0.3)
