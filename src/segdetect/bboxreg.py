@@ -163,8 +163,7 @@ def iterate_boxes(bundle, regressor: BoxRegressor, weights, detector,
         stats.changed_fraction.append(changed / len(boxes) if boxes else 0.0)
         if changed == 0:
             break
-    seg_base = segment_blocks(boxes, bundle.segments, weights.grid_k, weights.lam,
-                              bundle.largest_area)
+    seg_base = segment_blocks(boxes, bundle.segments, weights.grid_k, weights.lam)
     refined = replace(bundle, boxes=boxes, appearance=appearance, context=context,
                       seg_base=seg_base)
     detections = []

@@ -57,12 +57,9 @@ def cmd_featdump(args):
             bundle = build_bundle(dataset, image_id, cfg.grid_k, cfg.lambda_bias)
             for b, box_id in enumerate(bundle.box_ids):
                 for s, seg_id in enumerate(bundle.seg_ids):
-                    base = bundle.seg_base[b, s]
-                    for c in range(dataset.n_classes):
-                        block = base.copy()
-                        block[-1] = bundle.sigmoid_scores[s, c]
-                        yield (image_id, box_id, seg_id, c + 1,
-                               ";".join(repr(float(v)) for v in block))
+                    base = ";".join(repr(v) for v in bundle.seg_base[b, s].tolist())
+                    for c, score in enumerate(bundle.sigmoid_scores[s].tolist(), 1):
+                        yield image_id, box_id, seg_id, c, f"{base};{score!r}"
     write_records(args.out, rows())
     print(f"feature dump written to {args.out}")
     return 0

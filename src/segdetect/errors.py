@@ -45,9 +45,5 @@ class DivergedError(NumericalError):
     """SGD objective exploded; retry with a smaller initial learning rate."""
 
 
-class NoSegments(SegDetectError):
-    """Image has no segments; the largest-segment area is undefined."""
-
-
 class APUndefined(SegDetectError):
     """Average precision requested for a class with no ground truth."""

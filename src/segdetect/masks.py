@@ -3,7 +3,8 @@
 `summed_area` is the one table builder.  Block extraction builds each
 segment's table as a local and drops it after that segment; only the
 one-box feature functions, called without a table, read the copy that
-`SegmentMask.integral()` caches on the mask.
+`SegmentMask.integral()` caches on the mask.  `largest_segment_area` is the
+background normaliser that block extraction derives from an image's pool.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import itertools
 import numpy as np
 
 from .boxes import Box
-from .errors import BadRle, EmptySegment, NoSegments
+from .errors import BadRle, EmptySegment
 
 MAX_PIXELS = 2 ** 31    # a mask holds fewer pixels: summed_area() counts in int32
 
@@ -130,8 +131,5 @@ def tight_box(mask: SegmentMask) -> Box:
 
 
 def largest_segment_area(masks) -> int:
-    """Area M of the biggest segment in an image's pool."""
-    masks = list(masks)
-    if not masks:
-        raise NoSegments("no segments in image")
-    return max(m.pixel_count for m in masks)
+    """Area M of the biggest segment in an image's pool; 0 for an empty pool."""
+    return max((m.pixel_count for m in masks), default=0)

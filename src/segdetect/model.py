@@ -104,9 +104,9 @@ def load_model(path) -> ModelWeights:
 class FeatureBundle:
     """Per-image view joining boxes, cached features, and segment kernels.
 
-    seg_base[b, s] holds the class-independent part of the segmentation block
-    for (box b, segment s); only the final (segclass) slot varies with class,
-    provided by sigmoid_scores[s, c].  Segments are in ascending id order.
+    seg_base[b, s] holds the first L - 1 slots of the segmentation block for
+    (box b, segment s); the last (segclass) slot varies with class and is
+    sigmoid_scores[s, c].  Segments are in ascending id order.
     """
     image_id: str
     width: int
@@ -116,10 +116,9 @@ class FeatureBundle:
     appearance: np.ndarray       # (n_boxes, d_app)
     context: np.ndarray          # (n_boxes, d_ctx)
     seg_ids: list
-    seg_base: np.ndarray         # (n_boxes, n_segs, L)
+    seg_base: np.ndarray         # (n_boxes, n_segs, L - 1)
     sigmoid_scores: np.ndarray   # (n_segs, C)
     segments: list = field(default_factory=list)
-    largest_area: int = 0
 
     @property
     def n_boxes(self):
@@ -129,31 +128,36 @@ class FeatureBundle:
     def n_segs(self):
         return len(self.seg_ids)
 
+    @property
+    def largest_area(self):
+        """The largest segment's area: the background normaliser of segment_blocks."""
+        return largest_segment_area(self.segments)
 
-def segment_blocks(boxes, masks, grid_k, lam, m) -> np.ndarray:
-    """(n_boxes, n_segs, L) class-independent blocks, segclass slot segclass_feat(0.0) = 0.5.
+
+def segment_blocks(boxes, masks, grid_k, lam) -> np.ndarray:
+    """(n_boxes, n_segs, L - 1) blocks: every slot but the class-dependent last one.
 
     The one block-extraction loop: build_bundle runs it on every box, and
-    iterate_boxes on every refined box.  m is the largest segment's area.
-    Each segment's summed-area table is a local, built only when there are
-    boxes and dropped after that segment, so no mask keeps one.  Nothing reads
-    that 0.5: score_boxes drops it, and _fill_rows and featdump overwrite it.
+    iterate_boxes on every refined box.  The background normaliser m is the
+    largest segment's area.  Each segment's summed-area table is a local,
+    built only when there are boxes and dropped after that segment, so no
+    mask keeps one.
     """
     grid = GridSpec(grid_k)
-    out = np.zeros((len(boxes), len(masks), block_length(grid_k)))
+    m = largest_segment_area(masks)
+    out = np.zeros((len(boxes), len(masks), block_length(grid_k) - 1))
     if not boxes:
         return out
     for s, mask in enumerate(masks):
         table = summed_area(mask)
         for b, box in enumerate(boxes):
-            out[b, s] = assemble_block(box, mask, 0.0, grid, lam, m, table)
+            out[b, s] = assemble_block(box, mask, 0.0, grid, lam, m, table)[:-1]
     return out
 
 
 def build_bundle(dataset, image_id, grid_k, lam) -> FeatureBundle:
     rec = dataset.record(image_id)
     sig = np.zeros((len(rec.masks), dataset.n_classes))
-    m_area = largest_segment_area(rec.masks) if rec.masks else 0
     for s, mask in enumerate(rec.masks):
         for c in range(dataset.n_classes):
             sig[s, c] = segclass_feat(
@@ -165,8 +169,8 @@ def build_bundle(dataset, image_id, grid_k, lam) -> FeatureBundle:
         appearance=dataset.appearance[rows],
         context=dataset.context[rows],
         seg_ids=[m.segment_id for m in rec.masks],
-        seg_base=segment_blocks(rec.boxes, rec.masks, grid_k, lam, m_area),
-        sigmoid_scores=sig, segments=list(rec.masks), largest_area=m_area)
+        seg_base=segment_blocks(rec.boxes, rec.masks, grid_k, lam),
+        sigmoid_scores=sig, segments=list(rec.masks))
 
 
 def select_segment(contribs_for_class, seg_ids):
@@ -220,7 +224,7 @@ def score_boxes(bundle: FeatureBundle, weights: ModelWeights, detector,
                 + weights.bias[d])
         # one gemv per (box, class), the same as on that box's block alone
         options = np.zeros((len(part), n_classes, bundle.n_segs + 1))  # column 0: none
-        np.add((bundle.seg_base[sel, None, :, :-1] @ w_base)[..., 0], class_terms,
+        np.add((bundle.seg_base[sel, None] @ w_base)[..., 0], class_terms,
                out=options[:, :, 1:])
         pick = options.argmax(axis=2)
         gains = options[np.arange(len(part))[:, None], np.arange(n_classes), pick]

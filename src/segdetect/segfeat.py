@@ -6,7 +6,9 @@ overlap, and a logistic segment class score.  All grid counts go through the
 segment's summed-area table: one read of its (K+1)^2 cell-edge lattice gives
 the four box-sum features of a (box, segment) pair.  A caller that extracts
 many boxes passes the table it built with `masks.summed_area`; without one,
-the mask's cached `integral()` is read.
+the mask's cached `integral()` is read.  `model.segment_blocks`, the one
+`assemble_block` caller in the package, takes the background normaliser m
+from `masks.largest_segment_area` and keeps every slot but the class score.
 """
 
 from __future__ import annotations

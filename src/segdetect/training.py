@@ -171,16 +171,18 @@ def _store_detector_weights(weights: ModelWeights, detector, w):
     weights.bias[d] = w[-1]
 
 
-def _fill_rows(X, rows, bundle, boxes, latents, seg_col, L):
+def _fill_rows(X, rows, bundle, boxes, latents):
     """Write the cache rows of some boxes of one image into X[rows].
 
     Each is a plain copy of the box's features: appearance, context, then one
-    L-slot block per class from column seg_col.  A class's block stays zero
-    for no segment, else it is seg_base[b, s, :-1] with sigmoid_scores[s, c]
-    in the last slot.  X's last (bias) column is the caller's.
+    L-slot block per class.  A class's block stays zero for no segment, else
+    it is seg_base[b, s] followed by sigmoid_scores[s, c].  X's last (bias)
+    column is the caller's.
     """
     rows, boxes = np.asarray(rows), np.asarray(boxes)
     d_app = bundle.appearance.shape[1]
+    seg_col = d_app + bundle.context.shape[1]
+    L = bundle.seg_base.shape[2] + 1
     X[rows, :d_app] = bundle.appearance[boxes]
     X[rows, d_app:seg_col] = bundle.context[boxes]
     index_of = {seg_id: s for s, seg_id in enumerate(bundle.seg_ids)}
@@ -188,9 +190,9 @@ def _fill_rows(X, rows, bundle, boxes, latents, seg_col, L):
               for c, h in enumerate(latent) if h is not None]
     if picked:
         k, c, s = np.array(picked).T
-        blocks = bundle.seg_base[boxes[k], s]
-        blocks[:, -1] = bundle.sigmoid_scores[s, c]
-        X[rows[k][:, None], seg_col + c[:, None] * L + np.arange(L)] = blocks
+        at, col = rows[k], seg_col + c * L
+        X[at[:, None], col[:, None] + np.arange(L - 1)] = bundle.seg_base[boxes[k], s]
+        X[at, col + L - 1] = bundle.sigmoid_scores[s, c]
 
 
 def _cache_matrix(bundles, entries, weights: ModelWeights):
@@ -198,16 +200,15 @@ def _cache_matrix(bundles, entries, weights: ModelWeights):
 
     X is allocated once, in entry order, and filled image by image.
     """
-    seg_col = weights.d_app + weights.d_ctx
-    L = weights.seg_block_len
-    X = np.zeros((len(entries), seg_col + weights.n_classes * L + 1))
+    X = np.zeros((len(entries), weights.d_app + weights.d_ctx
+                  + weights.n_classes * weights.seg_block_len + 1))
     X[:, -1] = 1.0
     by_image = {}
     for row, (i, b, latent) in enumerate(entries):
         by_image.setdefault(i, []).append((row, b, latent))
     for i, group in by_image.items():
         rows, boxes, latents = zip(*group)
-        _fill_rows(X, rows, bundles[i], boxes, latents, seg_col, L)
+        _fill_rows(X, rows, bundles[i], boxes, latents)
     return X
 
 

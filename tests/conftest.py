@@ -17,12 +17,12 @@ def make_bundle(image_id, width, height, boxes, masks, raw_scores,
     n_boxes = len(boxes)
     n_segs = len(masks)
     grid = GridSpec(grid_k)
-    m = largest_segment_area(masks) if masks else 0
+    m = largest_segment_area(masks)
     L = 2 * grid_k * grid_k + 4
-    seg_base = np.zeros((n_boxes, n_segs, L))
+    seg_base = np.zeros((n_boxes, n_segs, L - 1))
     for s, mask in enumerate(masks):
         for b, box in enumerate(boxes):
-            seg_base[b, s] = assemble_block(box, mask, 0.0, grid, lam, m)
+            seg_base[b, s] = assemble_block(box, mask, 0.0, grid, lam, m)[:-1]
     sig = np.vectorize(segclass_feat)(raw_scores) if n_segs else \
         np.zeros((0, raw_scores.shape[1]))
     return FeatureBundle(
@@ -31,7 +31,7 @@ def make_bundle(image_id, width, height, boxes, masks, raw_scores,
         appearance=np.asarray(appearance, dtype=np.float64),
         context=np.asarray(context, dtype=np.float64),
         seg_ids=[m_.segment_id for m_ in masks], seg_base=seg_base,
-        sigmoid_scores=sig, segments=list(masks), largest_area=m)
+        sigmoid_scores=sig, segments=list(masks))
 
 
 def segment_contributions(bundle, weights, detector, box_index):
@@ -40,11 +40,11 @@ def segment_contributions(bundle, weights, detector, box_index):
     The per-box oracle for the segment term: one (n_segs, L - 1) product
     per class on this box's block alone.
     """
-    base = bundle.seg_base[box_index]            # (n_segs, L)
+    base = bundle.seg_base[box_index]            # (n_segs, L - 1)
     out = np.empty((bundle.n_segs, weights.n_classes))
     for c in range(1, weights.n_classes + 1):
         w = weights.seg_block(detector, c)
-        out[:, c - 1] = base[:, :-1] @ w[:-1] + w[-1] * bundle.sigmoid_scores[:, c - 1]
+        out[:, c - 1] = base @ w[:-1] + w[-1] * bundle.sigmoid_scores[:, c - 1]
     return out
 
 

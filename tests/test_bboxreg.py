@@ -288,3 +288,49 @@ def test_iterate_scores_equal_a_bundle_rebuilt_at_the_final_boxes(rng):
             for b, det in enumerate(dets):
                 assert (det.score, det.chosen_segments) == \
                     score_box(rebuilt, weights, detector, b), (trial, detector, b)
+
+
+def test_unmoved_boxes_score_as_the_input_bundle_with_the_kept_masks(tmp_path, rng):
+    """iterate_boxes rebuilds every block from the bundle's segments alone.
+
+    A regressor with no class only clips, so no box moves; the rebuilt blocks
+    then score exactly as build_bundle's.  The world is loaded with a keep
+    threshold between its smallest and largest mask, so the normaliser must
+    come from the kept masks only.
+    """
+    from segdetect.dataset import Dataset, read_manifest
+    from segdetect.model import build_bundle, score_boxes
+    from segdetect.synth import SynthConfig, generate
+    generate(SynthConfig(seed=3, n_images=6, boxes_per_image=6, segments_per_image=8,
+                         seg_noise=0.3), str(tmp_path))
+    manifest = read_manifest(tmp_path / "manifest.txt")
+    every = Dataset(manifest, min_segment_pixels=0)
+    sizes = [[m.pixel_count for m in every.record(i).masks] for i in every.image_order]
+    flat = sorted(n for pool in sizes for n in pool)
+    keep = flat[len(flat) // 4]
+    assert flat[0] < keep < flat[-1]
+    dataset = Dataset(manifest, min_segment_pixels=keep)
+    weights = ModelWeights.zeros(dataset.n_classes, 2, -0.7, dataset.d_app, dataset.d_ctx)
+    for name in ("w_app", "w_ctx", "w_seg", "bias"):
+        setattr(weights, name, rng.normal(0, 1, getattr(weights, name).shape))
+    reg = BoxRegressor(d_reg=1, ridge=1.0)
+
+    def provider(image_id, box):
+        raise AssertionError(f"box {box} moved")
+
+    dropped, picked = 0, 0
+    for image_id, pool in zip(dataset.image_order, sizes):
+        bundle = build_bundle(dataset, image_id, 2, -0.7)
+        kept = [n for n in pool if n >= keep]
+        dropped += len(pool) - len(kept)
+        assert bundle.n_segs == len(kept)
+        assert bundle.largest_area == max(kept, default=0)
+        for detector in range(1, dataset.n_classes + 1):
+            dets, _ = iterate_boxes(bundle, reg, weights, detector,
+                                    np.zeros((bundle.n_boxes, 1)), provider, 2, 0.0)
+            assert [d.box for d in dets] == bundle.boxes
+            scores, chosen = score_boxes(bundle, weights, detector)
+            assert [d.score for d in dets] == scores
+            assert [d.chosen_segments for d in dets] == chosen
+            picked += sum(h is not None for row in chosen for h in row)
+    assert dropped and picked

@@ -77,8 +77,7 @@ def test_featdump(workdir):
         for b, box_id in enumerate(bundle.box_ids):
             for s, seg_id in enumerate(bundle.seg_ids):
                 for c in range(dataset.n_classes):
-                    block = bundle.seg_base[b, s].copy()
-                    block[-1] = bundle.sigmoid_scores[s, c]
+                    block = np.append(bundle.seg_base[b, s], bundle.sigmoid_scores[s, c])
                     expected.append(([image_id, str(box_id), str(seg_id), str(c + 1)],
                                      block))
     assert expected and len(rows) == len(expected)

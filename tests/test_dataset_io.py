@@ -411,6 +411,7 @@ def test_unused_import_guard_sees_what_a_module_leaves_unread(tmp_path):
 UNREAD_BY_SRC = {
     "SegmentMask.from_array": "acceptance tests 01-03 build masks from pixel arrays",
     "ModelWeights.seg_block": "acceptance tests 01-03 read one class's segment weights",
+    "FeatureBundle.largest_area": "acceptance test 03 passes it to assemble_block",
     "grid_cells": "acceptance tests 01-03 check the grid layout against it",
     "seggrid_in": "acceptance tests 01-03 use it as the per-pixel feature oracle",
     "seg_out": "acceptance tests 01-03 use it as the per-pixel feature oracle",

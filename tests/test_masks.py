@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import rect_count
 from segdetect.boxes import Box
-from segdetect.errors import BadRle, EmptySegment, NoSegments
+from segdetect.errors import BadRle, EmptySegment
 from segdetect.masks import (SegmentMask, check_runs, largest_segment_area, summed_area,
                              tight_box)
 
@@ -206,5 +206,4 @@ def test_largest_segment_area():
              enumerate([1600, 1500, 3000])]
     assert largest_segment_area(masks) == 3000
     assert largest_segment_area(masks[:1]) == 1600
-    with pytest.raises(NoSegments):
-        largest_segment_area([])
+    assert largest_segment_area([]) == 0

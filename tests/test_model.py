@@ -248,7 +248,7 @@ def test_score_boxes_working_memory_is_bounded_by_the_chunk(rng):
     L = block_length(grid_k)
     bundle = FeatureBundle("img", 500, 375, list(range(n_boxes)), [None] * n_boxes,
                            rng.normal(0, 1, (n_boxes, 16)), rng.normal(0, 1, (n_boxes, 8)),
-                           list(range(n_segs)), rng.random((n_boxes, n_segs, L)),
+                           list(range(n_segs)), rng.random((n_boxes, n_segs, L - 1)),
                            rng.random((n_segs, n_classes)))
     weights = random_weights(rng, n_classes, grid_k, 16, 8)
     tracemalloc.start()
@@ -271,7 +271,8 @@ def test_stacked_products_round_as_per_box_products(n, segs, L, C):
     this test names the cause.
     """
     rng = np.random.default_rng(n + segs)
-    blocks = rng.normal(0, 1, (n, segs, L + 1))[..., :-1]    # strided, as seg_base is
+    # seg_base is contiguous; a strided view of the same values gives the same bits
+    blocks = rng.normal(0, 1, (n, segs, L + 1))[..., :-1]
     W = rng.normal(0, 1, (C, L))
     for b in (blocks, np.ascontiguousarray(blocks)):
         stacked = (b[:, None] @ W[:, :, None])[..., 0]
@@ -317,11 +318,10 @@ def test_segment_blocks_holds_about_two_tables_and_leaves_none_on_the_masks(tmp_
         arr[y:y + rng.integers(10, 50), x:x + rng.integers(10, 50)] = True
         masks.append(SegmentMask.from_array(arr, "img", s))
     boxes = random_boxes(rng, 10, 300, 300)
-    m = max(mask.pixel_count for mask in masks)
     table_bytes = 301 * 301 * np.dtype(np.int32).itemsize
     tracemalloc.start()
     try:
-        segment_blocks(boxes, masks, 3, -0.7, m)
+        segment_blocks(boxes, masks, 3, -0.7)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -341,8 +341,8 @@ def test_segment_blocks_without_boxes_builds_no_table(rng, monkeypatch):
     from segdetect import model
     built = []
     monkeypatch.setattr(model, "summed_area", built.append)
-    out = model.segment_blocks([], random_masks(rng, 3, 12, 12), 2, -0.7, 144)
-    assert out.shape == (0, 3, block_length(2)) and not built
+    out = model.segment_blocks([], random_masks(rng, 3, 12, 12), 2, -0.7)
+    assert out.shape == (0, 3, block_length(2) - 1) and not built
 
 
 def quadratic_nms(boxes, scores, box_ids, thresh):
@@ -415,7 +415,7 @@ def _boxes_bundle(rng, n_boxes, n_classes, n_segs=3, grid_k=2):
     return FeatureBundle("img", 120, 90, [int(i) for i in rng.permutation(n_boxes)], boxes,
                          rng.normal(0, 1, (n_boxes, 4)), rng.normal(0, 1, (n_boxes, 3)),
                          list(range(n_segs)),
-                         rng.random((n_boxes, n_segs, block_length(grid_k))),
+                         rng.random((n_boxes, n_segs, block_length(grid_k) - 1)),
                          rng.random((n_segs, n_classes)))
 
 

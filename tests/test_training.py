@@ -28,9 +28,8 @@ def seg_feature_vector(bundle, box_index, latent, L):
         if seg_id is None:
             continue
         s = index_of[seg_id]
-        block = bundle.seg_base[box_index, s].copy()
-        block[-1] = bundle.sigmoid_scores[s, c]
-        out[c * L:(c + 1) * L] = block
+        out[c * L:(c + 1) * L - 1] = bundle.seg_base[box_index, s]
+        out[(c + 1) * L - 1] = bundle.sigmoid_scores[s, c]
     return out
 
 
@@ -150,12 +149,11 @@ def test_relabel_matches_per_class_enumeration(rng):
 
 def test_seg_feature_vector_layout(rng):
     bundle = _two_rect_bundle(rng)
-    L = bundle.seg_base.shape[2]
+    L = bundle.seg_base.shape[2] + 1
     d = bundle.appearance.shape[1] + bundle.context.shape[1]
     v = _cache(bundle, [[None, 1]])[0, d:-1]
     assert np.all(v[:L] == 0.0)
-    expected = bundle.seg_base[0, 1].copy()
-    expected[-1] = bundle.sigmoid_scores[1, 1]
+    expected = np.append(bundle.seg_base[0, 1], bundle.sigmoid_scores[1, 1])
     np.testing.assert_array_equal(v[L:], expected)
 
 
