@@ -136,8 +136,9 @@ def iterate_boxes(bundle, regressor: BoxRegressor, weights, detector,
     Up to max_iters passes move every box with the regressor.
     feature_provider(image_id, box) -> (app_row, ctx_row, reg_row) is called
     only for boxes whose change exceeds change_thresh.  The passes never read
-    segment blocks, so after them the blocks of every final box are rebuilt
-    in one call.  The input bundle is not modified.  Returns (detections, stats).
+    segment blocks, so the bundle needs none (see image_bundle): after them
+    the blocks of every final box are built in one call.  The input bundle
+    is not modified.  Returns (detections, stats).
     """
     boxes = list(bundle.boxes)
     appearance, context = bundle.appearance.copy(), bundle.context.copy()

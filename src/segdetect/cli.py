@@ -20,8 +20,8 @@ from .dataset import Dataset, finite, read_blocks, read_manifest, write_records
 from .errors import InputError, NumericalError, SegDetectError
 from .evaluate import (average_best_overlap, evaluate_detections, write_pr_curves,
                        write_report)
-from .model import (build_bundle, detect_image, load_model, read_detections,
-                    save_model, write_detections)
+from .model import (build_bundle, detect_image, image_bundle, load_model,
+                    read_detections, save_model, write_detections)
 from .synth import SynthConfig, generate
 from .training import train, write_training_log
 
@@ -124,7 +124,7 @@ def cmd_regress(args):
     lookup = _nearest_box_provider(dataset)
     detections = []
     for image_id in dataset.image_order:
-        bundle = build_bundle(dataset, image_id, weights.grid_k, weights.lam)
+        bundle = image_bundle(dataset, image_id)
         rec = dataset.record(image_id)
         reg_rows = dataset.regression[np.asarray(rec.rows, dtype=int)]
         for detector in range(1, weights.n_classes + 1):

@@ -106,7 +106,10 @@ class FeatureBundle:
 
     seg_base[b, s] holds the first L - 1 slots of the segmentation block for
     (box b, segment s); the last (segclass) slot varies with class and is
-    sigmoid_scores[s, c].  Segments are in ascending id order.
+    sigmoid_scores[s, c].  Segments are in ascending id order.  Images with
+    equal segment counts S stack into one group bundle: its rows are their
+    boxes, seg_ids are the segment indices 0..S-1, sigmoid_scores is
+    (n_images, S, C) and box_image[b] indexes box b's image in it.
     """
     image_id: str
     width: int
@@ -119,6 +122,7 @@ class FeatureBundle:
     seg_base: np.ndarray         # (n_boxes, n_segs, L - 1)
     sigmoid_scores: np.ndarray   # (n_segs, C)
     segments: list = field(default_factory=list)
+    box_image: np.ndarray = None   # (n_boxes,) in a group bundle, else None
 
     @property
     def n_boxes(self):
@@ -156,6 +160,13 @@ def segment_blocks(boxes, masks, grid_k, lam) -> np.ndarray:
 
 
 def build_bundle(dataset, image_id, grid_k, lam) -> FeatureBundle:
+    bundle = image_bundle(dataset, image_id)
+    bundle.seg_base = segment_blocks(bundle.boxes, bundle.segments, grid_k, lam)
+    return bundle
+
+
+def image_bundle(dataset, image_id) -> FeatureBundle:
+    """build_bundle without the segment blocks: seg_base is None."""
     rec = dataset.record(image_id)
     sig = np.zeros((len(rec.masks), dataset.n_classes))
     for s, mask in enumerate(rec.masks):
@@ -166,10 +177,8 @@ def build_bundle(dataset, image_id, grid_k, lam) -> FeatureBundle:
     return FeatureBundle(
         image_id=image_id, width=rec.width, height=rec.height,
         box_ids=list(rec.box_ids), boxes=list(rec.boxes),
-        appearance=dataset.appearance[rows],
-        context=dataset.context[rows],
-        seg_ids=[m.segment_id for m in rec.masks],
-        seg_base=segment_blocks(rec.boxes, rec.masks, grid_k, lam),
+        appearance=dataset.appearance[rows], context=dataset.context[rows],
+        seg_ids=[m.segment_id for m in rec.masks], seg_base=None,
         sigmoid_scores=sig, segments=list(rec.masks))
 
 
@@ -195,9 +204,11 @@ def score_boxes(bundle: FeatureBundle, weights: ModelWeights, detector,
     """Greedy-exact energies of many boxes under detector `detector` (1-based).
 
     box_indices: a sequence of the boxes to score, in any order (default:
-    every box).  Each class takes the argmax over {none} + segments.  None
-    is worth exactly 0.0 and comes first, and segments are in ascending id
-    order, so ties prefer none, then the lowest segment id.  The gains are
+    every box), of one image or of a group (see FeatureBundle), whose rows
+    take their class terms from their own image.  Each class takes the
+    argmax over {none} + segments.  None is worth exactly 0.0 and comes
+    first, and segments are in ascending id order, so ties prefer none, then
+    the lowest segment id (in a group, index).  The gains are
     added to the linear score one class at a time, in class order.
     All classes are scored in one stacked product per chunk of at most
     SCORE_CHUNK_FLOATS options, with the same BLAS calls, and so the same
@@ -213,7 +224,7 @@ def score_boxes(bundle: FeatureBundle, weights: ModelWeights, detector,
     w_app, w_ctx = weights.w_app[d][:, None], weights.w_ctx[d][:, None]
     w_blocks = weights.w_seg[d].reshape(n_classes, -1)
     w_base = w_blocks[:, :-1, None]                            # (C, L - 1, 1)
-    class_terms = (bundle.sigmoid_scores * w_blocks[:, -1]).T  # (C, n_segs)
+    class_terms = np.swapaxes(bundle.sigmoid_scores * w_blocks[:, -1], -1, -2)  # [I,] C, S
     chunk = max(1, SCORE_CHUNK_FLOATS // (n_classes * (bundle.n_segs + 1)))
     scores = np.empty(n)
     picks = np.empty((n, n_classes), dtype=np.intp)
@@ -224,8 +235,9 @@ def score_boxes(bundle: FeatureBundle, weights: ModelWeights, detector,
                 + weights.bias[d])
         # one gemv per (box, class), the same as on that box's block alone
         options = np.zeros((len(part), n_classes, bundle.n_segs + 1))  # column 0: none
-        np.add((bundle.seg_base[sel, None] @ w_base)[..., 0], class_terms,
-               out=options[:, :, 1:])
+        np.add((bundle.seg_base[sel, None] @ w_base)[..., 0],
+               class_terms if bundle.box_image is None
+               else class_terms[bundle.box_image[sel]], out=options[:, :, 1:])
         pick = options.argmax(axis=2)
         gains = options[np.arange(len(part))[:, None], np.arange(n_classes), pick]
         for gain in gains.T:

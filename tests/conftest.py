@@ -34,6 +34,21 @@ def make_bundle(image_id, width, height, boxes, masks, raw_scores,
         sigmoid_scores=sig, segments=list(masks))
 
 
+def group_bundle(bundles):
+    """Stack bundles of one segment count into a group bundle, rows in order."""
+    (n_segs,) = {bundle.n_segs for bundle in bundles}
+    return FeatureBundle(
+        image_id="", width=0, height=0,
+        box_ids=[box_id for bundle in bundles for box_id in bundle.box_ids],
+        boxes=[box for bundle in bundles for box in bundle.boxes],
+        appearance=np.concatenate([bundle.appearance for bundle in bundles]),
+        context=np.concatenate([bundle.context for bundle in bundles]),
+        seg_ids=list(range(n_segs)),
+        seg_base=np.concatenate([bundle.seg_base for bundle in bundles]),
+        sigmoid_scores=np.stack([bundle.sigmoid_scores for bundle in bundles]),
+        box_image=np.repeat(np.arange(len(bundles)), [b.n_boxes for b in bundles]))
+
+
 def segment_contributions(bundle, weights, detector, box_index):
     """(n_segs, C) matrix of per-class contributions for one box.
 

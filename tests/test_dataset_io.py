@@ -419,6 +419,8 @@ UNREAD_BY_SRC = {
     "back_out": "acceptance tests 01-03 use it as the per-pixel feature oracle",
     "select_segment": "benchmark/layertrace.py COUNTED wraps it; the tests use it "
                       "as the one-class segment-choice oracle",
+    "relabel_positives": "benchmark/layertrace.py SPANNED wraps it; the tests use it "
+                         "as the one-box latent relabel that train_class batches",
 }
 
 

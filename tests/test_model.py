@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import make_bundle, random_boxes, random_masks, segment_contributions
+from conftest import (group_bundle, make_bundle, random_boxes, random_masks,
+                      segment_contributions)
 from segdetect.boxes import Box
 from segdetect.errors import InputError
 from segdetect.masks import SegmentMask
@@ -235,6 +236,58 @@ def test_score_boxes_across_chunks_at_20_classes_matches_reference_exactly(rng):
         assert list(zip(scores, chosen)) == \
             [reference_score(bundle, weights, detector, b) for b in range(3)]
         assert 1 not in {seg for segs in chosen for seg in segs}
+
+
+def test_score_boxes_on_a_group_equals_per_image_scoring_exactly(rng, monkeypatch):
+    """A group bundle scores each row as its own image does, bit for bit.
+
+    In every image of the three-segment group, the two lowest-id segments
+    are copies with equal scores, so they tie wherever one of them is best,
+    and that image's lowest id (index 0) must win.  Class 2's weight block
+    is zero, so every segment ties with none there, and none must win.  The
+    ids differ per image.  A group without segments picks none everywhere.
+    Row subsets run across images, in any order, and across score chunks
+    of two (or ten) rows.
+    """
+    from segdetect import model
+    monkeypatch.setattr(model, "SCORE_CHUNK_FLOATS", 32)
+    n_classes = 3
+    weights = random_weights(rng, n_classes, 2, 4, 3)
+    weights.w_seg = np.abs(weights.w_seg)
+    L = weights.seg_block_len
+    weights.w_seg[:, L:2 * L] = 0.0
+    groups = []
+    for n_segs in (3, 0):
+        bundles = []
+        for _ in range(5):
+            masks = random_masks(rng, 2, 12, 12)
+            ids = sorted(rng.choice(40, n_segs, replace=False).tolist())
+            masks = [SegmentMask("img", seg_id, m.height, m.width, m.runs.tolist())
+                     for seg_id, m in zip(ids, [masks[0], masks[0], masks[1]])]
+            raw = rng.normal(0, 2, (n_segs, n_classes))
+            raw[1:2] = raw[:1]
+            n_boxes = int(rng.integers(0, 12))
+            bundles.append(make_bundle(
+                "img", 12, 12, random_boxes(rng, n_boxes, 12, 12), masks, raw,
+                rng.normal(0, 1, (n_boxes, 4)), rng.normal(0, 1, (n_boxes, 3)), 2, -0.7))
+        groups.append((bundles, group_bundle(bundles)))
+    picked = set()
+    for bundles, group in groups:
+        assert group.n_boxes > 2 * (32 // (n_classes * (group.n_segs + 1)))
+        for detector in range(1, n_classes + 1):
+            expected = []
+            for bundle in bundles:
+                for score, chosen in zip(*score_boxes(bundle, weights, detector)):
+                    expected.append((score, [None if h is None else bundle.seg_ids.index(h)
+                                             for h in chosen]))
+            for rows in (None, rng.permutation(group.n_boxes)[:group.n_boxes // 2]):
+                scores, chosen = score_boxes(group, weights, detector, rows)
+                want = expected if rows is None else [expected[r] for r in rows]
+                assert list(zip(scores, chosen)) == want
+                picked.update((c, h) for segs in chosen for c, h in enumerate(segs))
+    assert {(0, 0), (2, 2), (1, None)} <= picked
+    assert not any(h == 1 for _, h in picked) and not any(c == 1 and h is not None
+                                                          for c, h in picked)
 
 
 def test_score_boxes_working_memory_is_bounded_by_the_chunk(rng):

@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import make_bundle, random_boxes, random_masks, segment_contributions
+from conftest import (group_bundle, make_bundle, random_boxes, random_masks,
+                      segment_contributions)
 from segdetect import training
 from segdetect.boxes import Box, iou
 from segdetect.config import Config
@@ -39,14 +40,38 @@ def instance_row(bundle, box_index, latent, L):
                            seg_feature_vector(bundle, box_index, latent, L), [1.0]])
 
 
+def cache_by_gather(bundles, entries, weights):
+    """training._fill_cache on (image index, box index, latent ids) entries.
+
+    Bundles of equal segment count share one group bundle, as in train, and
+    each entry becomes (group, group row, segment indices) of its cache row.
+    """
+    groups, spot = {}, {}
+    for i, bundle in enumerate(bundles):
+        members = groups.setdefault(bundle.n_segs, [])
+        spot[i] = (list(groups).index(bundle.n_segs),
+                   sum(member.n_boxes for member in members))
+        members.append(bundle)
+    rows = [(spot[i][0], spot[i][1] + b,
+             [-1 if h is None else bundles[i].seg_ids.index(h) for h in latent])
+            for i, b, latent in entries]
+    X = np.zeros((len(rows), weights.d_app + weights.d_ctx
+                  + weights.n_classes * weights.seg_block_len + 1))
+    training._fill_cache(
+        X, 0, [group_bundle(members) for members in groups.values()],
+        np.array([g for g, _, _ in rows]), np.array([r for _, r, _ in rows]),
+        np.array([latent for _, _, latent in rows]).reshape(len(rows), weights.n_classes),
+        weights)
+    return X
+
+
 def _cache(bundle, latents):
     """Cache rows of a bundle's boxes 0..n-1 at the given latents, by the gather."""
     C = len(latents[0])
     weights = ModelWeights.zeros(C, 2, -0.7, bundle.appearance.shape[1],
                                  bundle.context.shape[1])
-    return training._cache_matrix([bundle], [(0, b, latent)
-                                             for b, latent in enumerate(latents)],
-                                  weights)
+    return cache_by_gather([bundle], [(0, b, latent) for b, latent in enumerate(latents)],
+                           weights)
 
 
 def test_assign_labels_thresholds():
@@ -167,12 +192,16 @@ def test_seg_feature_vector_all_none(rng):
 @pytest.mark.parametrize("grid_k", [1, 2, 3])
 @pytest.mark.parametrize("n_classes", [1, 2, 3, 4])
 def test_cache_matrix_matches_per_box_oracle(n_classes, grid_k):
-    """Positives image by image, then negatives from several images in mining order."""
+    """Positives image by image, then negatives from several images in mining order.
+
+    Images 0 and 2 have the same segment count, so one group holds both and
+    each row's class slot comes from its own image.
+    """
     rng = np.random.default_rng(10 * n_classes + grid_k)
     d_app, d_ctx = 5, 3
     bundles = []
     for i in range(4):
-        n_segs = 0 if i == 1 else int(rng.integers(1, 5))
+        n_segs = (3, 0, 3, 2)[i]
         ids = sorted(rng.choice(50, n_segs, replace=False).tolist())
         masks = [SegmentMask(m.image_id, seg_id, m.height, m.width, m.runs.tolist())
                  for m, seg_id in zip(random_masks(rng, n_segs, 11, 9), ids)]
@@ -192,7 +221,7 @@ def test_cache_matrix_matches_per_box_oracle(n_classes, grid_k):
     negatives = [entry(int(i)) for i in rng.integers(0, 4, 12)]
     entries = positives + negatives
     weights = ModelWeights.zeros(n_classes, grid_k, -0.7, d_app, d_ctx)
-    X = training._cache_matrix(bundles, entries, weights)
+    X = cache_by_gather(bundles, entries, weights)
     L = weights.seg_block_len
     oracle = np.array([instance_row(bundles[i], b, latent, L)
                        for i, b, latent in entries])
@@ -305,6 +334,8 @@ def test_no_seg_training_keeps_seg_weights_at_plus_zero(tmp_path):
 
 
 def test_train_builds_rows_only_for_kept_negatives(tmp_path, monkeypatch):
+    """Each round fills each cache row once, for the positives and the kept
+    negatives only, in the one matrix that SGD fits."""
     from segdetect.config import load_config
     from segdetect.dataset import Dataset, read_manifest
     from segdetect.synth import SynthConfig, generate
@@ -315,21 +346,24 @@ def test_train_builds_rows_only_for_kept_negatives(tmp_path, monkeypatch):
     dataset = Dataset(read_manifest(tmp_path / "manifest.txt"),
                       min_segment_pixels=cfg.min_segment_pixels)
     built, fitted = [], []
-    fill_rows, sgd = training._fill_rows, training.sgd_fit
+    fill_cache, sgd = training._fill_cache, training.sgd_fit
 
-    def counted_rows(X, rows, *args):
-        built.extend(rows)
-        return fill_rows(X, rows, *args)
+    def counted_rows(X, first, groups, group_of, rows, latent, weights):
+        built.extend(range(first, first + len(rows)))
+        return fill_cache(X, first, groups, group_of, rows, latent, weights)
 
-    def counted_sgd(X, *args):
+    def counted_sgd(X, y, *args):
+        assert sorted(built) == list(range(len(X)))
+        assert len(X) == np.count_nonzero(y == 1) + 5
+        built.clear()
         fitted.append(len(X))
-        return sgd(X, *args)
+        return sgd(X, y, *args)
 
-    monkeypatch.setattr(training, "_fill_rows", counted_rows)
+    monkeypatch.setattr(training, "_fill_cache", counted_rows)
     monkeypatch.setattr(training, "sgd_fit", counted_sgd)
     result = training.train(dataset, cfg)
     assert result.rounds and all(r.num_hard_negs == 5 for r in result.rounds)
-    assert len(built) == sum(fitted)
+    assert len(fitted) == len(result.rounds)
 
 
 def test_train_class_peak_memory_in_caches(tmp_path, monkeypatch):
@@ -367,3 +401,124 @@ def test_train_class_peak_memory_in_caches(tmp_path, monkeypatch):
     monkeypatch.setattr(training, "sgd_fit", measured_sgd)
     training.train(dataset, cfg)
     assert max(peaks) / max(caches) < 2.5, (max(peaks), max(caches))
+
+
+def per_image_train(dataset, cfg, use_seg=True):
+    """Oracle for train: the per-image training loop.
+
+    Each round relabels each positive with the one-box relabel_positives,
+    scores the negatives with one score_boxes call per image and builds the
+    cache row by row with instance_row.
+    """
+    from segdetect.model import build_bundle, score_boxes
+    bundles = [build_bundle(dataset, image_id, cfg.grid_k, cfg.lambda_bias)
+               for image_id in dataset.image_order]
+    C = dataset.n_classes
+    weights = ModelWeights.zeros(C, cfg.grid_k, cfg.lambda_bias, dataset.d_app,
+                                 dataset.d_ctx)
+    rounds = []
+    for detector in range(1, C + 1):
+        labels = [assign_labels(bundle.boxes, [
+            g for cid, g, difficult in dataset.record(bundle.image_id).gts
+            if cid == detector and not difficult], cfg.pos_iou, cfg.neg_iou)
+            for bundle in bundles]
+        positives = [(i, b) for i, lab in enumerate(labels) for b in np.flatnonzero(lab == 1)]
+        if not positives:
+            continue
+        latent = {(i, b): init_latent(bundles[i], b, C) if use_seg else [None] * C
+                  for i, b in positives}
+        for rnd in range(1, cfg.outer_iters + 1):
+            changed = 0
+            if rnd > 1:
+                for i, b in positives:
+                    new = relabel_positives(bundles[i], weights, detector, b)
+                    changed += sum(x != y for x, y in zip(new, latent[(i, b)]))
+                    latent[(i, b)] = new
+            scored = []
+            for i, (bundle, lab) in enumerate(zip(bundles, labels)):
+                boxes = np.flatnonzero(lab == -1)
+                scores, chosen = score_boxes(bundle, weights, detector, boxes)
+                scored.extend((score, bundle.image_id, bundle.box_ids[b], (i, b, h))
+                              for score, b, h in zip(scores, boxes, chosen))
+            mined = [entry for *_, entry in mine_hard_negatives(scored, cfg.neg_cache_cap)]
+            X = np.array([instance_row(bundles[i], b, h, weights.seg_block_len)
+                          for i, b, h in [(i, b, latent[(i, b)]) for i, b in positives]
+                          + mined])
+            y = np.repeat([1.0, -1.0], [len(positives), len(mined)])
+            w, trace = sgd_fit(X, y, training._detector_weight_vector(weights, detector),
+                               cfg, cfg.seed + detector)
+            training._store_detector_weights(weights, detector, w)
+            rounds.append(training.RoundLog(rnd, detector, min(trace), trace[0],
+                                            len(mined), changed))
+    return training.TrainResult(weights, rounds)
+
+
+@pytest.mark.parametrize("group_floats", [training.GROUP_FLOATS, 800], ids=["default", "800"])
+def test_train_writes_the_per_image_oracles_bytes(tmp_path, monkeypatch, group_floats):
+    """Stacked training writes the model and log bytes of per-image training.
+
+    With min_segment_pixels 500, images keep 0, 1 or 2 segments, and class 4
+    has no positives: its objects are all marked difficult.  An 800-float
+    group bound splits each segment count into groups of two to four images.
+    """
+    from segdetect.model import save_model
+    from segdetect.training import write_training_log
+    generate(SynthConfig(seed=6, n_images=16, n_classes=4, segments_per_image=2,
+                         feature_noise=1.0, box_jitter=0.1), tmp_path)
+    gt = tmp_path / "gt.csv"
+    rows = [line.split(",") for line in gt.read_text().splitlines()]
+    gt.write_text("".join(",".join([*row[:-1], "1" if row[1] == "4" else row[-1]]) + "\n"
+                          for row in rows))
+    cfg = Config(min_segment_pixels=500, grid_k=2, epochs=3, outer_iters=3,
+                 neg_cache_cap=40)
+    dataset = Dataset(read_manifest(tmp_path / "manifest.txt"),
+                      min_segment_pixels=cfg.min_segment_pixels)
+    assert {len(dataset.record(i).masks) for i in dataset.image_order} == {0, 1, 2}
+    monkeypatch.setattr(training, "GROUP_FLOATS", group_floats)
+    for use_seg in (True, False):
+        outputs = []
+        for result in (train(dataset, cfg, use_seg), per_image_train(dataset, cfg, use_seg)):
+            save_model(tmp_path / "model.txt", result.weights)
+            write_training_log(tmp_path / "train.log", result.rounds)
+            outputs.append((tmp_path / "model.txt").read_bytes()
+                           + (tmp_path / "train.log").read_bytes())
+        assert outputs[0] == outputs[1]
+        assert {r.class_id for r in result.rounds} == {1, 2, 3}
+        assert any(r.num_hard_negs == 40 for r in result.rounds)
+        assert any(r.num_latent_changed for r in result.rounds) == use_seg
+
+
+def test_train_peak_memory_is_one_copy_of_the_bundles_plus_caches(tmp_path, monkeypatch):
+    """train's traced peak: the bundles' arrays once, plus 2.5 times the largest cache.
+
+    The stacks hold the only copy of each image's appearance, context,
+    seg_base and sigmoid_scores; a second copy beside them exceeds the bound.
+    """
+    from segdetect.config import load_config
+    from segdetect.segfeat import block_length
+    generate(SynthConfig(seed=4, n_images=300, boxes_per_image=12, feature_noise=1.0),
+             str(tmp_path))
+    cfg = load_config(tmp_path / "config.txt")
+    dataset = Dataset(read_manifest(tmp_path / "manifest.txt"),
+                      min_segment_pixels=cfg.min_segment_pixels)
+    L = block_length(cfg.grid_k)
+    features = 8 * sum(
+        len(rec.boxes) * (dataset.d_app + dataset.d_ctx + len(rec.masks) * (L - 1))
+        + len(rec.masks) * dataset.n_classes
+        for rec in map(dataset.record, dataset.image_order))
+    caches = []
+    sgd = training.sgd_fit
+
+    def measured_sgd(X, *args):
+        caches.append(X.nbytes)
+        return sgd(X, *args)
+
+    monkeypatch.setattr(training, "sgd_fit", measured_sgd)
+    tracemalloc.start()
+    try:
+        training.train(dataset, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert features > max(caches)
+    assert peak < features + 2.5 * max(caches), (peak, features, max(caches))
