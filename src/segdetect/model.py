@@ -168,18 +168,15 @@ def build_bundle(dataset, image_id, grid_k, lam) -> FeatureBundle:
 def image_bundle(dataset, image_id) -> FeatureBundle:
     """build_bundle without the segment blocks: seg_base is None."""
     rec = dataset.record(image_id)
-    sig = np.zeros((len(rec.masks), dataset.n_classes))
-    for s, mask in enumerate(rec.masks):
-        for c in range(dataset.n_classes):
-            sig[s, c] = segclass_feat(
-                dataset.seg_scores[(image_id, mask.segment_id, c + 1)])
+    sig = np.array([segclass_feat(dataset.seg_scores[(image_id, mask.segment_id, c)])
+                    for mask in rec.masks for c in range(1, dataset.n_classes + 1)])
     rows = np.asarray(rec.rows, dtype=int)
     return FeatureBundle(
         image_id=image_id, width=rec.width, height=rec.height,
         box_ids=list(rec.box_ids), boxes=list(rec.boxes),
-        appearance=dataset.appearance[rows], context=dataset.context[rows],
-        seg_ids=[m.segment_id for m in rec.masks], seg_base=None,
-        sigmoid_scores=sig, segments=list(rec.masks))
+        appearance=dataset.appearance[rows], context=dataset.context[rows], seg_base=None,
+        seg_ids=[m.segment_id for m in rec.masks], segments=list(rec.masks),
+        sigmoid_scores=sig.reshape(len(rec.masks), dataset.n_classes))
 
 
 def select_segment(contribs_for_class, seg_ids):

@@ -4,8 +4,8 @@ under a cache budget, and stochastic subgradient hinge optimization.
 Detectors are trained independently per class.  Within one outer round the
 latent segment choices are frozen, so the cached problem is a plain linear
 SVM; the fitter returns the best weights it saw, which keeps the frozen-cache
-objective non-increasing across the round.  The images are stacked by segment
-count, and each round scores each group of images in one call.
+objective non-increasing.  Training holds only the image records and their
+features, stacked by segment count; each round scores a group in one call.
 """
 
 from __future__ import annotations
@@ -44,19 +44,18 @@ def assign_labels(boxes, gt_boxes, pos_iou, neg_iou):
     return labels
 
 
-def init_latent(bundle: FeatureBundle, box_index, n_classes):
-    """First-round latent choice: the segment whose tight box best overlaps the box.
+def init_latent(boxes, masks):
+    """First-round latent choice of each box: the index of the segment whose
+    tight box best overlaps it, -1 for every box when there are no segments.
 
-    The overlap feature differs from raw IoU only by a constant bias, so the
-    argmax is the same for every class.  Ties go to the lowest segment id.
+    masks must be in ascending id order, as Dataset keeps them, so that a tie
+    goes to the lowest segment id.  The overlap feature differs from raw IoU
+    only by a constant bias, so the argmax is the same for every class.
     """
-    if bundle.n_segs == 0:
-        return [None] * n_classes
-    overlaps = iou_row(bundle.boxes[box_index].rounded(),
-                       rounded_corners(map(tight_box, bundle.segments)))
-    best = overlaps.max()
-    best_id = min(seg_id for seg_id, ov in zip(bundle.seg_ids, overlaps) if ov == best)
-    return [best_id] * n_classes
+    if not masks:
+        return np.full(len(boxes), -1, dtype=np.intp)
+    return iou_row(rounded_corners(boxes).T[:, :, None],
+                   rounded_corners(map(tight_box, masks))).argmax(axis=1)
 
 
 def relabel_positives(bundle: FeatureBundle, weights: ModelWeights,
@@ -209,30 +208,32 @@ def _fill_cache(X, first, groups, group_of, rows, latent, weights: ModelWeights)
             X[at_on, col + L - 1] = group.sigmoid_scores[group.box_image[rows_on], segs_on, c]
 
 
-def train_class(bundles, groups, spots, labels_per_image, weights: ModelWeights,
-                detector, cfg, use_seg=True):
+def train_class(records, groups, spots, weights: ModelWeights, detector, cfg,
+                use_seg=True):
     """Run the two-step outer loop for one detector class in place.
 
-    bundles, groups, spots: as _stack returns them; labels_per_image: one
-    +1/-1/0 array per bundle.  Each round scores the positives (the latent
-    relabel), then the negatives, with one score_boxes call per group, and
-    builds feature rows only for the kept negatives.  Each round's cache is
-    one matrix: the positives in image order, then the kept negatives in
-    mining order.  Latents are segment indices, -1 for none.
+    records: the ImageRecords in image order, labelled here (+1/-1/0 per
+    box); groups, spots: as _stack returns them.  Each round scores the
+    positives (the latent relabel), then the negatives, with one score_boxes
+    call per group, and builds feature rows only for the kept negatives.
+    Each round's cache is one matrix: the positives in image order, then the
+    kept negatives in mining order.  Latents are segment indices, -1 for none.
     Without use_seg the positives start at no segment.  With w_seg at zero,
     scoring then picks no segment anywhere, every segment column of the
     cache is zero and SGD leaves w_seg at exactly zero.
     Returns the per-round logs, or None when the class has no positives.
     """
-    n_classes = weights.n_classes
     pos, neg = [], []
-    for bundle, (g, lo), labels in zip(bundles, spots, labels_per_image):
-        for b in np.flatnonzero(labels == 1):
-            latent = init_latent(bundle, b, n_classes) if use_seg else [None] * n_classes
-            pos.append([g, lo + b, *(-1 if h is None else bundle.seg_ids.index(h)
-                                     for h in latent)])
-        neg += [(g, lo + b, bundle.image_id, bundle.box_ids[b])
-                for b in np.flatnonzero(labels == -1).tolist()]
+    for rec, (g, lo) in zip(records, spots):
+        labels = assign_labels(rec.boxes, [box for cid, box, difficult in rec.gts
+                                           if cid == detector and not difficult],
+                               cfg.pos_iou, cfg.neg_iou)
+        b = np.flatnonzero(labels == 1).tolist()
+        latent = (init_latent([rec.boxes[k] for k in b], rec.masks).tolist()
+                  if use_seg and b else [-1] * len(b))
+        pos += [[g, lo + k] + [h] * weights.n_classes for k, h in zip(b, latent)]
+        neg += [(g, lo + k, rec.image_id, rec.box_ids[k])
+                for k in np.flatnonzero(labels == -1).tolist()]
     if not pos:
         return None
     pos = np.array(pos, dtype=np.intp)   # group, group row, latent
@@ -265,16 +266,15 @@ def train_class(bundles, groups, spots, labels_per_image, weights: ModelWeights,
     return rounds
 
 
-def _stack(dataset, cfg):
-    """build_bundle on every image, its arrays moved into its group's stacks.
+def _stack(dataset, records, cfg):
+    """build_bundle on every image, copied into its group's preallocated stacks.
 
     A group holds images of one segment count in image order, and a new one
     starts past every GROUP_FLOATS feature floats: small stacks fit the holes
     that freed memory leaves (one stack per segment count raised peak RSS by
-    1.5-3 MB on 800 small images).  Returns (bundles, groups, spots): bundles
-    view the stacks; spots[i] is (group index, first row) of image i.
+    1.5-3 MB on 800 small images).  Returns (groups, spots): spots[i] is
+    (group index, first row) of records[i]; no bundle outlives its copy.
     """
-    records = [dataset.record(image_id) for image_id in dataset.image_order]
     L = block_length(cfg.grid_k)
     members, floats = {}, {}    # (S, number) -> image indices; S -> floats so far
     for i, rec in enumerate(records):
@@ -282,7 +282,7 @@ def _stack(dataset, cfg):
         members.setdefault((S, floats.get(S, 0) // GROUP_FLOATS), []).append(i)
         floats[S] = floats.get(S, 0) + len(rec.boxes) * (dataset.d_app + dataset.d_ctx
                                                          + S * (L - 1))
-    groups, bundles, spots = [], [None] * len(records), [None] * len(records)
+    groups, spots = [], [None] * len(records)
     for (S, _), images in members.items():
         sizes = [len(records[i].boxes) for i in images]
         n, group = sum(sizes), len(groups)
@@ -292,31 +292,23 @@ def _stack(dataset, cfg):
             np.empty((n, S, L - 1)), np.empty((len(images), S, dataset.n_classes)),
             box_image=np.repeat(np.arange(len(images)), sizes)))
         for j, (i, lo) in enumerate(zip(images, itertools.accumulate(sizes, initial=0))):
-            bundle = bundles[i] = build_bundle(dataset, records[i].image_id, cfg.grid_k,
-                                               cfg.lambda_bias)
-            rows, spots[i] = slice(lo, lo + sizes[j]), (group, lo)
+            bundle = build_bundle(dataset, records[i].image_id, cfg.grid_k, cfg.lambda_bias)
+            spots[i], rows = (group, lo), slice(lo, lo + sizes[j])
             for name in ("appearance", "context", "seg_base", "sigmoid_scores"):
-                stack = getattr(groups[group], name)[j if name == "sigmoid_scores" else rows]
-                stack[...] = getattr(bundle, name)
-                setattr(bundle, name, stack)
-    return bundles, groups, spots
+                getattr(groups[group], name)[j if name == "sigmoid_scores" else rows] = \
+                    getattr(bundle, name)
+    return groups, spots
 
 
 def train(dataset, cfg, use_seg=True) -> TrainResult:
     """Train all detector classes; returns fresh weights plus per-round logs."""
-    bundles, groups, spots = _stack(dataset, cfg)
+    records = [dataset.record(image_id) for image_id in dataset.image_order]
+    groups, spots = _stack(dataset, records, cfg)
     weights = ModelWeights.zeros(dataset.n_classes, cfg.grid_k, cfg.lambda_bias,
                                  dataset.d_app, dataset.d_ctx)
     rounds = []
     for detector in range(1, dataset.n_classes + 1):
-        labels = []
-        for bundle in bundles:
-            rec = dataset.record(bundle.image_id)
-            gts = [g for cid, g, difficult in rec.gts
-                   if cid == detector and not difficult]
-            labels.append(assign_labels(bundle.boxes, gts, cfg.pos_iou, cfg.neg_iou))
-        res = train_class(bundles, groups, spots, labels, weights, detector, cfg,
-                          use_seg=use_seg)
+        res = train_class(records, groups, spots, weights, detector, cfg, use_seg=use_seg)
         if res is None:
             log.warning("class %d has no positives; detector left at zero", detector)
             continue

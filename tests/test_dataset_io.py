@@ -407,6 +407,17 @@ def test_unused_import_guard_sees_what_a_module_leaves_unread(tmp_path):
     assert _unused_imports(path) == ["b", "json", "os"]
 
 
+# the lines src/segdetect/*.py may hold; a change that must grow src/ raises
+# this number and says why in CHANGES.md
+SRC_LINE_CAP = 2658
+
+
+def test_src_stays_within_its_line_cap():
+    src = Path(segdetect.__file__).parent
+    lines = {path.name: path.read_text().count("\n") for path in src.glob("*.py")}
+    assert sum(lines.values()) <= SRC_LINE_CAP, sorted(lines.items())
+
+
 # definitions no src/ code reads, each kept for a reason outside src/
 UNREAD_BY_SRC = {
     "SegmentMask.from_array": "acceptance tests 01-03 build masks from pixel arrays",

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import tracemalloc
 
@@ -11,7 +12,7 @@ from segdetect.boxes import Box, iou
 from segdetect.config import Config
 from segdetect.dataset import Dataset, read_manifest
 from segdetect.masks import SegmentMask, tight_box
-from segdetect.model import ModelWeights, score_box
+from segdetect.model import FeatureBundle, ModelWeights, score_box
 from segdetect.synth import SynthConfig, generate
 from segdetect.training import (assign_labels, hinge_objective,
                                 init_latent, mine_hard_negatives,
@@ -96,6 +97,19 @@ def test_assign_labels_best_gt_wins():
     assert list(labels) == [1]
 
 
+def first_latent(box, masks):
+    """Oracle for init_latent on one box: the id of the segment whose tight box
+    overlaps the box best, the lowest id on a tie, None without segments."""
+    overlaps = {m.segment_id: iou(box, tight_box(m)) for m in masks}
+    top = max(overlaps.values(), default=None)
+    return min((seg_id for seg_id, v in overlaps.items() if v == top), default=None)
+
+
+def _latent_ids(boxes, masks):
+    """init_latent's segment indices as segment ids, None for -1."""
+    return [None if s == -1 else masks[s].segment_id for s in init_latent(boxes, masks)]
+
+
 def test_assign_labels_and_init_latent_match_per_pair_iou(rng):
     for _ in range(20):
         boxes = random_boxes(rng, 6, 12, 12)
@@ -103,15 +117,11 @@ def test_assign_labels_and_init_latent_match_per_pair_iou(rng):
         best = [max((iou(b, g) for g in gts), default=0.0) for b in boxes]
         expected = [1 if v >= 0.5 else -1 if v < 0.3 else 0 for v in best]
         assert assign_labels(boxes, gts, 0.5, 0.3).tolist() == expected
-        masks = random_masks(rng, 4, 12, 12)[::-1]       # ids not in order
-        bundle = make_bundle("img", 12, 12, boxes, masks, np.zeros((4, 2)),
-                             rng.normal(0, 1, (6, 3)), rng.normal(0, 1, (6, 2)),
-                             2, -0.7)
-        for b, box in enumerate(boxes):
-            overlaps = {m.segment_id: iou(box, tight_box(m)) for m in masks}
-            top = max(overlaps.values())
-            expected_id = min(i for i, v in overlaps.items() if v == top)
-            assert init_latent(bundle, b, 2) == [expected_id] * 2
+        ids = sorted(rng.choice(50, 4, replace=False).tolist())
+        masks = [SegmentMask(m.image_id, seg_id, m.height, m.width, m.runs.tolist())
+                 for m, seg_id in zip(random_masks(rng, 4, 12, 12), ids)]
+        assert _latent_ids(boxes, masks) == [first_latent(box, masks) for box in boxes]
+        assert init_latent([], masks).shape == (0,)
 
 
 def _two_rect_bundle(rng, raw_scores=None, n_classes=2):
@@ -130,25 +140,25 @@ def _two_rect_bundle(rng, raw_scores=None, n_classes=2):
 
 def test_init_latent_picks_best_overlap(rng):
     bundle = _two_rect_bundle(rng)
-    assert init_latent(bundle, 0, 2) == [0, 0]
+    assert init_latent(bundle.boxes, bundle.segments).tolist() == [0]
+    assert first_latent(bundle.boxes[0], bundle.segments) == 0
 
 
-def test_init_latent_no_segments(rng):
-    bundle = make_bundle("img", 10, 10, [Box(0, 0, 4, 4)], [], np.zeros((1, 2)),
-                         rng.normal(0, 1, (1, 3)), rng.normal(0, 1, (1, 2)),
-                         2, -0.7)
-    assert init_latent(bundle, 0, 2) == [None, None]
+def test_init_latent_no_segments():
+    boxes = [Box(0, 0, 4, 4), Box(2, 2, 9, 9)]
+    assert init_latent(boxes, []).tolist() == [-1, -1]
+    assert init_latent([], []).shape == (0,)
+    assert first_latent(boxes[0], []) is None
 
 
-def test_init_latent_tie_lowest_id(rng):
-    # two identical segments: the smaller id must win
+def test_init_latent_tie_lowest_id():
+    # two identical segments, sorted by id as Dataset keeps them: id 2 must win
     a = np.zeros((10, 10), dtype=bool)
     a[1:5, 1:5] = True
-    masks = [SegmentMask.from_array(a, "img", 5), SegmentMask.from_array(a, "img", 2)]
-    bundle = make_bundle("img", 10, 10, [Box(1, 1, 4, 4)], masks, np.zeros((2, 2)),
-                         rng.normal(0, 1, (1, 3)), rng.normal(0, 1, (1, 2)),
-                         2, -0.7)
-    assert init_latent(bundle, 0, 2) == [2, 2]
+    masks = [SegmentMask.from_array(a, "img", 2), SegmentMask.from_array(a, "img", 5)]
+    boxes = [Box(1, 1, 4, 4), Box(0, 0, 9, 9)]
+    assert _latent_ids(boxes, masks) == [2, 2]
+    assert [first_latent(box, masks[::-1]) for box in boxes] == [2, 2]
 
 
 def test_relabel_matches_per_class_enumeration(rng):
@@ -245,6 +255,12 @@ def test_mining_cap_keeps_highest():
     assert min(s for s, _, _, _ in mined) >= max(dropped)
 
 
+def _small_world(tmp_path):
+    generate(SynthConfig(seed=1, n_images=6), tmp_path)
+    cfg = Config(min_segment_pixels=0, grid_k=2, epochs=2, outer_iters=2)
+    return Dataset(read_manifest(tmp_path / "manifest.txt"), min_segment_pixels=0), cfg
+
+
 def test_mining_sees_each_negative_once(tmp_path, monkeypatch):
     """mine_hard_negatives keeps no dedup: train scores each (image, box) once."""
     mine = training.mine_hard_negatives
@@ -256,11 +272,54 @@ def test_mining_sees_each_negative_once(tmp_path, monkeypatch):
         calls.append(len(keys))
         return mine(scored_negatives, cap)
 
-    generate(SynthConfig(seed=1, n_images=6), tmp_path)
-    dataset = Dataset(read_manifest(tmp_path / "manifest.txt"), min_segment_pixels=0)
+    dataset, cfg = _small_world(tmp_path)
     monkeypatch.setattr(training, "mine_hard_negatives", checked)
-    train(dataset, Config(min_segment_pixels=0, grid_k=2, epochs=2, outer_iters=2))
+    train(dataset, cfg)
     assert len(calls) == 2 * dataset.n_classes and min(calls) > 0
+
+
+def test_train_finds_tight_boxes_once_per_image_and_detector(tmp_path, monkeypatch):
+    """The first latents of an image's positives come from one overlap pass.
+
+    So train calls tight_box at most once per mask of each image with
+    positives, per detector, however many positives the image has.
+    """
+    dataset, cfg = _small_world(tmp_path)
+    calls = []
+
+    def counted(mask):
+        calls.append(mask)
+        return tight_box(mask)
+
+    monkeypatch.setattr(training, "tight_box", counted)
+    train(dataset, cfg)
+    bound = per_positive = 0
+    for rec in map(dataset.record, dataset.image_order):
+        for detector in range(1, dataset.n_classes + 1):
+            labels = assign_labels(rec.boxes, [box for cid, box, difficult in rec.gts
+                                               if cid == detector and not difficult],
+                                   cfg.pos_iou, cfg.neg_iou)
+            n_pos = int(np.count_nonzero(labels == 1))
+            bound += len(rec.masks) * (n_pos > 0)
+            per_positive += len(rec.masks) * n_pos
+    assert 0 < len(calls) <= bound < per_positive
+
+
+def test_stack_leaves_no_per_image_bundle_alive(tmp_path):
+    """The group stacks hold the only copy of each image's features."""
+    dataset, cfg = _small_world(tmp_path)
+    records = [dataset.record(image_id) for image_id in dataset.image_order]
+
+    def image_bundles():
+        gc.collect()
+        return [o for o in gc.get_objects() if isinstance(o, FeatureBundle) and o.image_id]
+
+    before = image_bundles()
+    groups, spots = training._stack(dataset, records, cfg)
+    left = [o for o in image_bundles() if not any(o is b for b in before)]
+    assert not left, [b.image_id for b in left]
+    assert sum(g.n_boxes for g in groups) == sum(len(rec.boxes) for rec in records)
+    assert len(spots) == len(records)
 
 
 def _separable_problem(rng, n=60, d=3, margin=2.0):
@@ -406,9 +465,10 @@ def test_train_class_peak_memory_in_caches(tmp_path, monkeypatch):
 def per_image_train(dataset, cfg, use_seg=True):
     """Oracle for train: the per-image training loop.
 
-    Each round relabels each positive with the one-box relabel_positives,
-    scores the negatives with one score_boxes call per image and builds the
-    cache row by row with instance_row.
+    The first latents come from first_latent, box by box.  Each round
+    relabels each positive with the one-box relabel_positives, scores the
+    negatives with one score_boxes call per image and builds the cache row by
+    row with instance_row.
     """
     from segdetect.model import build_bundle, score_boxes
     bundles = [build_bundle(dataset, image_id, cfg.grid_k, cfg.lambda_bias)
@@ -425,7 +485,8 @@ def per_image_train(dataset, cfg, use_seg=True):
         positives = [(i, b) for i, lab in enumerate(labels) for b in np.flatnonzero(lab == 1)]
         if not positives:
             continue
-        latent = {(i, b): init_latent(bundles[i], b, C) if use_seg else [None] * C
+        latent = {(i, b): [first_latent(bundles[i].boxes[b], bundles[i].segments)
+                           if use_seg else None] * C
                   for i, b in positives}
         for rnd in range(1, cfg.outer_iters + 1):
             changed = 0
