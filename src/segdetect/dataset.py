@@ -391,25 +391,20 @@ _MANIFEST_FILES = ("boxes", "masks", "seg_scores", "ground_truth", "appearance",
 class Manifest:
     class_names: list
     images: list          # (image_id, width, height) in file order
-    boxes_file: str
-    masks_file: str
-    seg_scores_file: str
-    ground_truth_file: str
-    appearance_file: str
-    context_file: str
-    regression_file: str = ""
+    files: dict           # _MANIFEST_FILES key -> path; all but regression required
     base_dir: str = "."
 
-    def resolve(self, path):
-        return path if os.path.isabs(path) else os.path.join(self.base_dir, path)
+    def path(self, key):
+        """The file of a key; os.path.join keeps an absolute path as it is."""
+        return os.path.join(self.base_dir, self.files[key])
 
 
 def write_manifest(path, manifest: Manifest):
-    files = ((key, getattr(manifest, f"{key}_file")) for key in _MANIFEST_FILES)
     write_records(path, itertools.chain(
         [("version", 1)], (("class", name) for name in manifest.class_names),
         (("image", *image) for image in manifest.images),
-        ((key, name) for key, name in files if name)), sep=" ")
+        ((key, manifest.files[key]) for key in _MANIFEST_FILES if key in manifest.files)),
+        sep=" ")
 
 
 def read_manifest(path):
@@ -439,20 +434,20 @@ def read_manifest(path):
                 raise ValueError(f"image {values[0]} needs width and height >= 1, "
                                  "and width * height below 2**31")
             images.append((values[0], width, height))
-        elif f"{key}_file" in files:
+        elif key in files:
             raise ValueError(f"repeated {key} line")
         else:
-            files[f"{key}_file"] = values[0]
+            files[key] = values[0]
 
     read_records(path, entry)
     for key in _MANIFEST_FILES[:-1]:    # all but regression are required
-        if f"{key}_file" not in files:
+        if key not in files:
             raise InputError(f"{path}: missing {key} entry")
     if not classes:
         raise InputError(f"{path}: no classes declared")
     if not images:
         raise InputError(f"{path}: no images declared")
-    return Manifest(class_names=classes, images=images, **files,
+    return Manifest(class_names=classes, images=images, files=files,
                     base_dir=os.path.dirname(os.path.abspath(path)))
 
 
@@ -485,7 +480,7 @@ class Dataset:
         self.images = {image_id: ImageRecord(image_id, w, h)
                        for image_id, w, h in manifest.images}
         sizes = {image_id: (w, h) for image_id, w, h in manifest.images}
-        box_rows = read_boxes_file(manifest.resolve(manifest.boxes_file), sizes)
+        box_rows = read_boxes_file(manifest.path("boxes"), sizes)
         for row_idx, row in enumerate(box_rows):
             if row:
                 rec = self.images[row[0]]
@@ -494,29 +489,26 @@ class Dataset:
                 rec.rows.append(row_idx)
         n_feature_rows = len(box_rows)
 
-        for mask in read_masks_file(manifest.resolve(manifest.masks_file), sizes,
-                                    min_segment_pixels):
+        for mask in read_masks_file(manifest.path("masks"), sizes, min_segment_pixels):
             self.images[mask.image_id].masks.append(mask)
         for rec in self.images.values():
             rec.masks.sort(key=lambda m: m.segment_id)
 
         # every line is checked; only this manifest's images are kept
-        scores_path = manifest.resolve(manifest.seg_scores_file)
+        scores_path = manifest.path("seg_scores")
         self.seg_scores = read_seg_scores_file(scores_path, sizes, self.n_classes)
 
         for image_id, class_id, box, difficult in read_gt_file(
-                manifest.resolve(manifest.ground_truth_file), sizes, self.n_classes):
+                manifest.path("ground_truth"), sizes, self.n_classes):
             self.images[image_id].gts.append((class_id, box, difficult))
 
         # self.appearance, self.context and self.regression (None when undeclared)
         for name in ("appearance", "context", "regression"):
-            path = getattr(manifest, f"{name}_file")
-            mat = read_feature_matrix(manifest.resolve(path)) if path else None
+            mat = read_feature_matrix(manifest.path(name)) if name in manifest.files else None
             if mat is not None and mat.shape[0] != n_feature_rows:
-                raise InputError(
-                    f"{manifest.resolve(path)}: {name} matrix has {mat.shape[0]} rows, "
-                    f"boxes file {manifest.resolve(manifest.boxes_file)} has "
-                    f"{n_feature_rows}")
+                raise InputError(f"{manifest.path(name)}: {name} matrix has {mat.shape[0]} "
+                                 f"rows, boxes file {manifest.path('boxes')} has "
+                                 f"{n_feature_rows}")
             setattr(self, name, mat)
 
         needed = [(rec.image_id, mask.segment_id, c) for rec in self.images.values()

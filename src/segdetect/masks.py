@@ -25,7 +25,7 @@ class SegmentMask:
     `runs` is one (n, 2) int32 array.  Given as (start, length) pairs, the
     runs go through `check_runs`, so an out-of-range value raises BadRle.
     Given with their pixel count, they are an (n, 2) int array of runs known
-    to be good: from a block that passed `check_runs`, or a clipped rectangle.
+    to be good: from a block that passed `check_runs`, or a rectangle inside the image.
     """
 
     def __init__(self, image_id, segment_id, height, width, runs, pixel_count=None):

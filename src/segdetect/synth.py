@@ -38,8 +38,8 @@ class SynthConfig:
     seed: int = 0
     n_images: int = 50
     n_classes: int = 3
-    boxes_per_image: int = 8
-    segments_per_image: int = 4
+    boxes_per_image: int = 8     # random boxes top up two jittered ones per object to this
+    segments_per_image: int = 4  # random segments top up one per object to this
     width: int = 64
     height: int = 64
     box_jitter: float = 0.0     # fraction of object size
@@ -74,8 +74,8 @@ def _logit(x):
 class SynthImage:
     image_id: str
     gts: list            # (class_id, Box)
-    boxes: list          # (box_id, Box)
-    segments: list       # (segment_id, Box source rect, class_id or 0, mask Box)
+    boxes: list          # Box; a box's id is its position
+    segments: list       # (Box source rect, class_id or 0, mask Box); id as for boxes
 
 
 class SynthWorld:
@@ -89,18 +89,12 @@ class SynthWorld:
         self.ctx_protos = self._prototypes(rng, cfg.d_ctx, cfg.n_classes)
         self.images = [self._make_image(rng, i) for i in range(cfg.n_images)]
         self._by_id = {img.image_id: img for img in self.images}
-        # per-box feature noise drawn once so files are reproducible
-        self._noise = {}
-        for img in self.images:
-            for box_id, _ in img.boxes:
-                self._noise[(img.image_id, box_id)] = (
-                    rng.normal(0.0, 1.0, cfg.d_app),
-                    rng.normal(0.0, 1.0, cfg.d_ctx))
-        self._score_noise = {}
-        for img in self.images:
-            for seg_id, _, _, _ in img.segments:
-                self._score_noise[(img.image_id, seg_id)] = rng.normal(
-                    0.0, 1.0, cfg.n_classes)
+        # noise drawn once, after the images, so files are reproducible: a
+        # row per box (appearance then context) and one per segment, in file order
+        self._box_noise = rng.normal(0.0, 1.0, (sum(len(img.boxes) for img in self.images),
+                                                cfg.d_app + cfg.d_ctx))
+        self._score_noise = rng.normal(0.0, 1.0, (sum(len(img.segments) for img in self.images),
+                                                  cfg.n_classes))
 
     @staticmethod
     def _prototypes(rng, dim, n_classes):
@@ -122,7 +116,6 @@ class SynthWorld:
 
     def _make_image(self, rng, index):
         cfg = self.cfg
-        image_id = f"img{index:04d}"
         gts = []
         for _ in range(OBJECTS_PER_IMAGE):
             class_id = int(rng.integers(1, cfg.n_classes + 1))
@@ -132,26 +125,12 @@ class SynthWorld:
                 if all(iou(candidate, g) < 0.2 for _, g in gts):
                     gts.append((class_id, candidate))
                     break
-        boxes = []
-        box_id = 0
-        for class_id, gt in gts:
-            for _ in range(2):
-                boxes.append((box_id, self._jitter(rng, gt, cfg.box_jitter)))
-                box_id += 1
-        while box_id < cfg.boxes_per_image:
-            boxes.append((box_id, self._random_rect(rng, 4, 2)))
-            box_id += 1
-        segments = []
-        seg_id = 0
-        for class_id, gt in gts:
-            segments.append((seg_id, gt, class_id,
-                             self._erode(rng, gt, cfg.seg_noise)))
-            seg_id += 1
-        while seg_id < cfg.segments_per_image:
-            rect = self._random_rect(rng, 5, 3)
-            segments.append((seg_id, rect, 0, rect))
-            seg_id += 1
-        return SynthImage(image_id, gts, boxes, segments)
+        boxes = [self._jitter(rng, gt, cfg.box_jitter) for _, gt in gts for _ in range(2)]
+        boxes += [self._random_rect(rng, 4, 2) for _ in range(cfg.boxes_per_image - len(boxes))]
+        segments = [(gt, class_id, self._erode(rng, gt, cfg.seg_noise)) for class_id, gt in gts]
+        rects = [self._random_rect(rng, 5, 3) for _ in range(cfg.segments_per_image - len(gts))]
+        segments += [(rect, 0, rect) for rect in rects]
+        return SynthImage(f"img{index:04d}", gts, boxes, segments)
 
     def _jitter(self, rng, gt: Box, amount):
         if amount == 0.0:
@@ -215,12 +194,12 @@ class SynthWorld:
     # -- serialization -----------------------------------------------------
 
     def _rect_mask(self, image_id, seg_id, rect: Box) -> SegmentMask:
+        # rect lies inside the image: _random_rect places it there, and _erode
+        # stays inside its object or returns it.  Rounding keeps a value that
+        # lies between two integers between them, so the rounded rect needs no
+        # clip and its runs no check.
         x1, y1, x2, y2 = rect.rounded()
-        x1 = max(x1, 0)
-        y1 = max(y1, 0)
-        x2 = min(x2, self.cfg.width - 1)
-        y2 = min(y2, self.cfg.height - 1)
-        rows = np.arange(y1, y2 + 1)   # a clipped rect: its runs need no check
+        rows = np.arange(y1, y2 + 1)
         runs = np.stack([rows * self.cfg.width + x1, np.full(len(rows), x2 - x1 + 1)], axis=1)
         return SegmentMask(image_id, seg_id, self.cfg.height, self.cfg.width, runs,
                            len(rows) * (x2 - x1 + 1))
@@ -229,49 +208,42 @@ class SynthWorld:
     def write(self, out_dir):
         """Dump the world plus train/test split manifests and a matching config."""
         cfg = self.cfg
-        box_rows = []
-        masks = []
-        score_rows = []
-        gt_rows = []
-        app_rows = []
-        ctx_rows = []
-        reg_rows = []
-        for img in self.images:
-            for class_id, gt in img.gts:
-                gt_rows.append((img.image_id, class_id, gt, False))
-            for box_id, box in img.boxes:
-                box_rows.append((img.image_id, box_id, box))
-                app, ctx, reg = self.provider(img.image_id, box)
-                na, nc = self._noise[(img.image_id, box_id)]
-                app_rows.append(app + cfg.feature_noise * na)
-                ctx_rows.append(ctx + cfg.feature_noise * nc)
-                reg_rows.append(reg)
-            for seg_id, source, source_class, rect in img.segments:
-                mask = self._rect_mask(img.image_id, seg_id, rect)
-                masks.append(mask)
-                noise = self._score_noise[(img.image_id, seg_id)]
-                for c in range(1, cfg.n_classes + 1):
-                    if source_class == c:
-                        raw = _logit(iou(rect, source))
-                    else:
-                        raw = _logit(0.05)
-                    score_rows.append((img.image_id, seg_id, c,
-                                       raw + cfg.score_noise * noise[c - 1]))
-        features = {name: np.array(rows, dtype=np.float32) for name, rows in
-                    (("app.feat", app_rows), ("ctx.feat", ctx_rows), ("reg.feat", reg_rows))}
+        boxes = [(img.image_id, box_id, box) for img in self.images
+                 for box_id, box in enumerate(img.boxes)]
+        segments = [(img.image_id, seg_id, *segment) for img in self.images
+                    for seg_id, segment in enumerate(img.segments)]
+        app, ctx, reg = map(np.array, zip(*(self.provider(image_id, box)
+                                             for image_id, _, box in boxes)))
+        noise = cfg.feature_noise * self._box_noise
+        features = {"appearance": (app + noise[:, :cfg.d_app]).astype(np.float32),
+                    "context": (ctx + noise[:, cfg.d_app:]).astype(np.float32),
+                    "regression": reg.astype(np.float32)}
+        raw = np.full((len(segments), cfg.n_classes), _logit(0.05))
+        for row, (_, _, source, source_class, rect) in zip(raw, segments):
+            if source_class:
+                row[source_class - 1] = _logit(iou(rect, source))
+        scores = raw + cfg.score_noise * self._score_noise
         if not all(np.isfinite(matrix).all() for matrix in features.values()):
             raise InputError(f"feature_noise must be small enough for finite float32 "
                              f"features, got {cfg.feature_noise}")
-        if not all(math.isfinite(row[3]) for row in score_rows):
+        if not np.isfinite(scores).all():
             raise InputError(f"score_noise must be small enough for finite segment "
                              f"scores, got {cfg.score_noise}")
+        files = {"boxes": "boxes.csv", "masks": "masks.txt", "seg_scores": "seg_scores.csv",
+                 "ground_truth": "gt.csv", "appearance": "app.feat", "context": "ctx.feat",
+                 "regression": "reg.feat"}
         os.makedirs(out_dir, exist_ok=True)
-        write_boxes_file(os.path.join(out_dir, "boxes.csv"), box_rows)
-        write_masks_file(os.path.join(out_dir, "masks.txt"), masks)
-        write_seg_scores_file(os.path.join(out_dir, "seg_scores.csv"), score_rows)
-        write_gt_file(os.path.join(out_dir, "gt.csv"), gt_rows)
-        for name, matrix in features.items():
-            write_feature_matrix(os.path.join(out_dir, name), matrix)
+        out = {key: os.path.join(out_dir, name) for key, name in files.items()}
+        write_boxes_file(out["boxes"], boxes)
+        write_masks_file(out["masks"], (self._rect_mask(image_id, seg_id, rect)
+                                        for image_id, seg_id, *_, rect in segments))
+        write_seg_scores_file(out["seg_scores"], (
+            (image_id, seg_id, c, score) for (image_id, seg_id, *_), row
+            in zip(segments, scores.tolist()) for c, score in enumerate(row, 1)))
+        write_gt_file(out["ground_truth"], ((img.image_id, class_id, gt, False)
+                                            for img in self.images for class_id, gt in img.gts))
+        for key, matrix in features.items():
+            write_feature_matrix(out[key], matrix)
 
         class_names = [f"class{c}" for c in range(1, cfg.n_classes + 1)]
         all_images = [(img.image_id, cfg.width, cfg.height) for img in self.images]
@@ -281,12 +253,7 @@ class SynthWorld:
                   "manifest_train.txt": all_images[:n_train],
                   "manifest_test.txt": all_images[n_train:] or all_images[-1:]}
         for name, images in splits.items():
-            write_manifest(os.path.join(out_dir, name), Manifest(
-                class_names=class_names, images=images,
-                boxes_file="boxes.csv", masks_file="masks.txt",
-                seg_scores_file="seg_scores.csv", ground_truth_file="gt.csv",
-                appearance_file="app.feat", context_file="ctx.feat",
-                regression_file="reg.feat"))
+            write_manifest(os.path.join(out_dir, name), Manifest(class_names, images, files))
         run_cfg = Config(min_segment_pixels=0, grid_k=2)
         save_config(os.path.join(out_dir, "config.txt"), run_cfg)
         return out_dir

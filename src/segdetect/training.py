@@ -141,7 +141,7 @@ class RoundLog:
     round: int
     class_id: int
     objective: float
-    objective_before: float
+    objective_before: float     # acceptance test 04 checks objective against it
     num_hard_negs: int
     num_latent_changed: int
 

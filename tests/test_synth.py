@@ -131,7 +131,7 @@ def test_segment_scores_rank_true_class(tmp_path):
                  min_segment_pixels=0)
     world = SynthWorld(SynthConfig(seed=9, n_images=6))
     for img in world.images:
-        for seg_id, _, source_class, _ in img.segments:
+        for seg_id, (_, source_class, _) in enumerate(img.segments):
             if source_class == 0:
                 continue
             scores = [ds.seg_scores[(img.image_id, seg_id, c)]
@@ -149,7 +149,48 @@ def test_over_eroded_segment_falls_back_to_its_object(tmp_path):
     # seed 0 erodes at least one segment at seg_noise 1.0 past its own size
     world = generate(SynthConfig(seed=0, n_images=20, seg_noise=1.0), str(tmp_path / "d"))
     assert any(rect == source for img in world.images
-               for _, source, class_id, rect in img.segments if class_id)
+               for source, class_id, rect in img.segments if class_id)
+
+
+def _dict_noise(cfg):
+    """The noise as drawn into per-box and per-segment dicts, the reference
+    for SynthWorld's two arrays: after the images, an appearance then a
+    context draw for each box, then a score draw for each segment, keyed by
+    (image id, box or segment id)."""
+    world = SynthWorld(cfg)     # its helpers draw from the rng they are given
+    rng = np.random.default_rng(cfg.seed)
+    world._prototypes(rng, cfg.d_app, cfg.n_classes)
+    world._prototypes(rng, cfg.d_ctx, cfg.n_classes)
+    images = [world._make_image(rng, i) for i in range(cfg.n_images)]
+    noise = {}
+    for img in images:
+        for box_id in range(len(img.boxes)):
+            noise[(img.image_id, box_id)] = (rng.normal(0.0, 1.0, cfg.d_app),
+                                             rng.normal(0.0, 1.0, cfg.d_ctx))
+    score_noise = {}
+    for img in images:
+        for seg_id in range(len(img.segments)):
+            score_noise[(img.image_id, seg_id)] = rng.normal(0.0, 1.0, cfg.n_classes)
+    return images, noise, score_noise
+
+
+@pytest.mark.parametrize("shape", [
+    dict(seed=1, n_images=4, boxes_per_image=0, segments_per_image=7, n_classes=1),
+    dict(seed=2, n_images=3, boxes_per_image=12, segments_per_image=0, n_classes=20,
+         d_app=5, d_ctx=9),
+    dict(seed=3, n_images=5, boxes_per_image=12, segments_per_image=7, n_classes=20,
+         d_app=11, d_ctx=2, box_jitter=0.2, seg_noise=0.3),
+    dict(seed=4, n_images=2, boxes_per_image=0, segments_per_image=0, n_classes=1,
+         d_app=1, d_ctx=3)], ids=["b0-s7-c1", "b12-s0-c20", "b12-s7-c20", "b0-s0-c1"])
+def test_noise_arrays_equal_the_per_box_and_per_segment_draws(shape):
+    cfg = SynthConfig(**shape)
+    world = SynthWorld(cfg)
+    images, noise, score_noise = _dict_noise(cfg)
+    assert world.images == images
+    np.testing.assert_array_equal(world._box_noise, np.array(
+        [np.concatenate(pair) for pair in noise.values()]).reshape(-1, cfg.d_app + cfg.d_ctx))
+    np.testing.assert_array_equal(world._score_noise, np.array(
+        list(score_noise.values())).reshape(-1, cfg.n_classes))
 
 
 def _synth_then_train(out, *flags):
