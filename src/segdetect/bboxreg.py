@@ -91,7 +91,7 @@ def fit_regressor(pairs_by_class, d_reg, ridge) -> BoxRegressor:
 
     A class with too few pairs to fit is skipped, with a warning when it has
     any, so `refine` only clips its boxes.  Raises InsufficientPairs when no
-    class can be fit.
+    class can be fit, and NumericalError when a class's system is singular.
     """
     reg = BoxRegressor(d_reg=d_reg, ridge=ridge)
     for class_id, pairs in sorted(pairs_by_class.items()):
@@ -102,6 +102,8 @@ def fit_regressor(pairs_by_class, d_reg, ridge) -> BoxRegressor:
             reg.per_class[class_id] = fit_class_regressor(feats, proposals, gts, ridge)
         except InsufficientPairs as e:
             log.warning("class %d: %s; its boxes are only clipped", class_id, e)
+        except np.linalg.LinAlgError as e:
+            raise NumericalError(f"class {class_id} regressor, ridge {ridge}: {e}") from None
     if not reg.per_class:
         raise InsufficientPairs(f"no class has the {d_reg + 1} regression pairs a fit needs")
     return reg

@@ -357,16 +357,11 @@ def read_gt_file(path, sizes, n_classes):
     return read_table(path, (str, int, float, float, float, float, _difficult), rows)
 
 
-def write_seg_scores_file(path, rows):
-    """rows: iterable of (image_id, segment_id, class_id, score)."""
-    write_records(path, rows)
-
-
 def read_seg_scores_file(path, sizes, n_classes):
     """{(image_id, segment_id, class_id): score} of the images in sizes.
 
     Every line is checked: class ids lie in 1..n_classes, and each key is on
-    one line at most.
+    one line at most.  Dataset copies each kept mask's scores to its record.
     """
     seen = set()
 
@@ -464,6 +459,7 @@ class ImageRecord:
     rows: list = field(default_factory=list)      # global feature row indices
     masks: list = field(default_factory=list)
     gts: list = field(default_factory=list)       # (class_id, Box, difficult)
+    seg_scores: np.ndarray = None   # (len(masks), C) raw scores; column c - 1 is class c
 
 
 class Dataset:
@@ -490,13 +486,11 @@ class Dataset:
         n_feature_rows = len(box_rows)
 
         for mask in read_masks_file(manifest.path("masks"), sizes, min_segment_pixels):
-            self.images[mask.image_id].masks.append(mask)
-        for rec in self.images.values():
-            rec.masks.sort(key=lambda m: m.segment_id)
+            self.images[mask.image_id].masks.append(mask)    # sorted by id below
 
         # every line is checked; only this manifest's images are kept
         scores_path = manifest.path("seg_scores")
-        self.seg_scores = read_seg_scores_file(scores_path, sizes, self.n_classes)
+        scores = read_seg_scores_file(scores_path, sizes, self.n_classes)
 
         for image_id, class_id, box, difficult in read_gt_file(
                 manifest.path("ground_truth"), sizes, self.n_classes):
@@ -511,13 +505,16 @@ class Dataset:
                                  f"{n_feature_rows}")
             setattr(self, name, mat)
 
-        needed = [(rec.image_id, mask.segment_id, c) for rec in self.images.values()
-                  for mask in rec.masks for c in range(1, self.n_classes + 1)]
-        missing = set(needed).difference(self.seg_scores)
-        if missing:
-            image_id, segment_id, c = next(key for key in needed if key in missing)
+        try:    # in image, mask id, class order: a gap names the first missing key
+            for rec in self.images.values():
+                rec.masks.sort(key=lambda m: m.segment_id)
+                rec.seg_scores = np.reshape(
+                    [scores[rec.image_id, m.segment_id, c] for m in rec.masks
+                     for c in range(1, self.n_classes + 1)], (-1, self.n_classes))
+        except KeyError as e:
+            image_id, segment_id, c = e.args[0]
             raise InputError(f"{scores_path}: missing score for segment {segment_id} "
-                             f"of {image_id}, class {c}")
+                             f"of {image_id}, class {c}") from None
 
     @property
     def d_app(self):

@@ -17,7 +17,7 @@ from .boxes import Box, iou_row, rounded_corners
 from .config import check_range
 from .dataset import (box_rows, check, class_ids, finite, read_blocks, read_table,
                       write_records)
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .segfeat import GridSpec, assemble_block, block_length, segclass_feat
 from .masks import largest_segment_area, summed_area
 
@@ -168,15 +168,12 @@ def build_bundle(dataset, image_id, grid_k, lam) -> FeatureBundle:
 def image_bundle(dataset, image_id) -> FeatureBundle:
     """build_bundle without the segment blocks: seg_base is None."""
     rec = dataset.record(image_id)
-    sig = np.array([segclass_feat(dataset.seg_scores[(image_id, mask.segment_id, c)])
-                    for mask in rec.masks for c in range(1, dataset.n_classes + 1)])
-    rows = np.asarray(rec.rows, dtype=int)
     return FeatureBundle(
         image_id=image_id, width=rec.width, height=rec.height,
-        box_ids=list(rec.box_ids), boxes=list(rec.boxes),
-        appearance=dataset.appearance[rows], context=dataset.context[rows], seg_base=None,
+        box_ids=list(rec.box_ids), boxes=list(rec.boxes), seg_base=None,
+        appearance=dataset.appearance[rec.rows], context=dataset.context[rec.rows],
         seg_ids=[m.segment_id for m in rec.masks], segments=list(rec.masks),
-        sigmoid_scores=sig.reshape(len(rec.masks), dataset.n_classes))
+        sigmoid_scores=np.vectorize(segclass_feat, otypes=[float])(rec.seg_scores))
 
 
 def select_segment(contribs_for_class, seg_ids):
@@ -196,6 +193,7 @@ def select_segment(contribs_for_class, seg_ids):
     return best_id, best
 
 
+@np.errstate(over="ignore", invalid="ignore")    # a non-finite score raises below
 def score_boxes(bundle: FeatureBundle, weights: ModelWeights, detector,
                 box_indices=None):
     """Greedy-exact energies of many boxes under detector `detector` (1-based).
@@ -205,13 +203,13 @@ def score_boxes(bundle: FeatureBundle, weights: ModelWeights, detector,
     take their class terms from their own image.  Each class takes the
     argmax over {none} + segments.  None is worth exactly 0.0 and comes
     first, and segments are in ascending id order, so ties prefer none, then
-    the lowest segment id (in a group, index).  The gains are
-    added to the linear score one class at a time, in class order.
-    All classes are scored in one stacked product per chunk of at most
-    SCORE_CHUNK_FLOATS options, with the same BLAS calls, and so the same
-    bits, as one product per box and class.
-    Returns (scores, chosen): one float per box, and per box one segment id
-    (None = no segment) per segment-choice class.
+    the lowest segment id (in a group, index).  The gains are added to the
+    linear score one class at a time, in class order.  All classes are
+    scored in one stacked product per chunk of at most SCORE_CHUNK_FLOATS
+    options, with the same BLAS calls, and so the same bits, as one product
+    per box and class.  Returns (scores, chosen): one float per box, and per
+    box one segment id (None = no segment) per segment-choice class.
+    A score that is not finite raises NumericalError.
     """
     d = detector - 1
     n_classes = weights.n_classes
@@ -241,6 +239,9 @@ def score_boxes(bundle: FeatureBundle, weights: ModelWeights, detector,
             part += gain
         scores[lo:lo + len(part)] = part
         picks[lo:lo + len(part)] = pick
+    if not np.isfinite(scores).all():
+        raise NumericalError(f"image {bundle.image_id!r}: detector {detector} scores a box "
+                             f"{scores[~np.isfinite(scores)][0]}")
     ids = np.array([NONE_SEGMENT, *bundle.seg_ids], dtype=object)
     return scores.tolist(), ids[picks].tolist()
 

@@ -23,8 +23,7 @@ import numpy as np
 from .boxes import Box, clip_box, expand_box, iou, round_half_away
 from .config import Config, check_range, save_config
 from .dataset import (Manifest, write_boxes_file, write_feature_matrix,
-                      write_gt_file, write_manifest, write_masks_file,
-                      write_seg_scores_file)
+                      write_gt_file, write_manifest, write_masks_file, write_records)
 from .errors import InputError
 from .masks import MAX_PIXELS, SegmentMask
 
@@ -237,7 +236,7 @@ class SynthWorld:
         write_boxes_file(out["boxes"], boxes)
         write_masks_file(out["masks"], (self._rect_mask(image_id, seg_id, rect)
                                         for image_id, seg_id, *_, rect in segments))
-        write_seg_scores_file(out["seg_scores"], (
+        write_records(out["seg_scores"], (
             (image_id, seg_id, c, score) for (image_id, seg_id, *_), row
             in zip(segments, scores.tolist()) for c, score in enumerate(row, 1)))
         write_gt_file(out["ground_truth"], ((img.image_id, class_id, gt, False)

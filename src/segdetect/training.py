@@ -70,6 +70,7 @@ def hinge_objective(w, X, y, c_reg):
     return float(w[:-1] @ w[:-1] + c_reg * np.sum(np.maximum(margins, 0.0)))
 
 
+@np.errstate(over="ignore", invalid="ignore")    # a diverging objective raises below
 def sgd_fit(X, y, w0, cfg, seed):
     """Minibatch subgradient descent on the cached hinge problem.
 

@@ -206,7 +206,10 @@ def test_test_manifest_keeps_its_own_scores_and_checks_every_line(world, tmp_pat
     sizes = {image_id: (w, h) for image_id, w, h in read_manifest(world / "manifest.txt").images}
     rows = read_seg_scores_file(world / "seg_scores.csv", sizes, dataset.n_classes)
     own = {key: score for key, score in rows.items() if key[0] in dataset.images}
-    assert dataset.seg_scores == own and len(own) < len(rows)
+    kept = {(rec.image_id, mask.segment_id, c): score for rec in dataset.images.values()
+            for mask, row in zip(rec.masks, rec.seg_scores.tolist())
+            for c, score in enumerate(row, 1)}
+    assert kept == own and len(own) < len(rows)
     root = tmp_path / "w"
     shutil.copytree(world, root)
     lines = (root / "seg_scores.csv").read_text().splitlines()
@@ -705,8 +708,8 @@ SAME_VALUES = [
 def _fields(dataset, detections):
     images = [dataset.record(i) for i in dataset.image_order]
     return ([(r.box_ids, r.boxes, r.rows, r.gts,
-              [(m.segment_id, m.runs.tolist(), m.pixel_count) for m in r.masks])
-             for r in images], dataset.seg_scores,
+              [(m.segment_id, m.runs.tolist(), m.pixel_count) for m in r.masks],
+              r.seg_scores.tolist()) for r in images],
             [(d.image_id, d.class_id, d.box_id, d.box, d.score, d.chosen_segments)
              for d in detections])
 

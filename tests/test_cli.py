@@ -1,5 +1,8 @@
 import argparse
+import dataclasses
 import os
+import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,9 +10,9 @@ import pytest
 
 from segdetect.boxes import Box, iou
 from segdetect.cli import _nearest_box_provider, build_parser, main
-from segdetect.config import load_config
+from segdetect.config import load_config, save_config
 from segdetect.dataset import Dataset, read_manifest
-from segdetect.model import build_bundle
+from segdetect.model import build_bundle, load_model, save_model
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +111,68 @@ def test_bad_config_exit_2(workdir, tmp_path):
     assert main(["detect", "--manifest", str(data / "manifest_test.txt"),
                  "--config", str(bad), "--model", _p(workdir, "model.txt"),
                  "--out", _p(workdir, "x.csv")]) == 2
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """An 8-image synthetic world with a trained model and a fitted regressor."""
+    root = tmp_path_factory.mktemp("trained")
+    assert main(["synth", "--out", str(root), "--seed", "0", "--images", "8"]) == 0
+    common = ["--manifest", str(root / "manifest.txt"), "--config", str(root / "config.txt")]
+    assert main(["train", *common, "--out", str(root / "model.txt")]) == 0
+    assert main(["regress", "fit", *common, "--out", str(root / "reg.txt")]) == 0
+    return root
+
+
+def _numerical_exit(argv, capsys):
+    """main(argv)'s stderr, after checking it exits 3 without a numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ") and "Traceback" not in err, err
+    return err
+
+
+def _with_config(trained, tmp_path, **changes):
+    path = tmp_path / "config.txt"
+    save_config(path, dataclasses.replace(load_config(trained / "config.txt"), **changes))
+    return ["--manifest", str(trained / "manifest.txt"), "--config", str(path)]
+
+
+@pytest.mark.parametrize("command", ["detect", "iterate"])
+def test_overflowing_scores_exit_3_and_write_nothing(trained, tmp_path, capsys, command):
+    """Finite weights whose products overflow: scores would be inf."""
+    weights = load_model(trained / "model.txt")
+    weights.w_app[:] = 1e308
+    save_model(tmp_path / "model.txt", weights)
+    out = tmp_path / "dets.csv"
+    argv = [*(["detect"] if command == "detect" else
+              ["regress", "iterate", "--regressor", str(trained / "reg.txt")]),
+            *_with_config(trained, tmp_path), "--model", str(tmp_path / "model.txt"),
+            "--out", str(out)]
+    err = _numerical_exit(argv, capsys)
+    assert re.match(r"numerical error: image 'img0000': detector 1 scores a box ", err), err
+    assert not out.exists()
+
+
+def test_diverging_training_exits_3(trained, tmp_path, capsys):
+    out = tmp_path / "model.txt"
+    err = _numerical_exit(["train", *_with_config(trained, tmp_path, eta0=1e300),
+                           "--out", str(out)], capsys)
+    assert "exceeded 10x initial" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ridge", [0.0, 1e-20, 1e-300])
+def test_singular_ridge_fit_exits_3(trained, tmp_path, capsys, ridge):
+    """Synth regression rows end in a constant 1, which duplicates the
+    unpenalised intercept: with no ridge the system is singular."""
+    out = tmp_path / "reg.txt"
+    err = _numerical_exit(["regress", "fit", *_with_config(trained, tmp_path, ridge=ridge),
+                           "--out", str(out)], capsys)
+    assert re.match(rf"numerical error: class \d+ regressor, ridge {ridge!r}: ", err), err
+    assert not out.exists()
 
 
 def test_bad_flag_exit_2():

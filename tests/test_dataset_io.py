@@ -21,7 +21,7 @@ from segdetect.dataset import (Dataset, Manifest, finite, read_boxes_file,
                                read_seg_scores_file, write_boxes_file,
                                write_feature_matrix, write_gt_file,
                                write_manifest, write_masks_file,
-                               write_records, write_seg_scores_file)
+                               write_records)
 from segdetect.errors import InputError
 from segdetect.masks import SegmentMask
 
@@ -159,7 +159,7 @@ def test_gt_rejects_bad_difficult_flag(tmp_path):
 def test_seg_scores_roundtrip(tmp_path):
     rows = [("a", 0, 1, -2.5), ("a", 0, 2, 0.125), ("b", 3, 1, 100.0)]
     path = tmp_path / "scores.csv"
-    write_seg_scores_file(path, rows)
+    write_records(path, rows)
     sizes = {"a": (4, 4), "b": (4, 4)}
     assert read_seg_scores_file(path, sizes, 2) == {row[:3]: row[3] for row in rows}
     # every line is checked, but only the scores of images in sizes are kept
@@ -212,7 +212,7 @@ def _write_tiny_dataset(tmp_path, n_boxes=2, drop_score=False):
     scores = [("a", 0, 1, 0.5)]
     if not drop_score:
         scores.append(("a", 0, 2, -0.5))
-    write_seg_scores_file(tmp_path / "scores.csv", scores)
+    write_records(tmp_path / "scores.csv", scores)
     write_gt_file(tmp_path / "gt.csv", [("a", 1, Box(0, 0, 5, 5), False)])
     write_feature_matrix(tmp_path / "app.feat", np.ones((n_boxes, 3)))
     write_feature_matrix(tmp_path / "ctx.feat", np.ones((n_boxes, 2)))
@@ -265,6 +265,49 @@ def test_dataset_missing_class_score(tmp_path):
         Dataset(manifest, min_segment_pixels=0)
 
 
+def test_records_hold_the_scores_of_their_kept_masks_in_id_order(tmp_path):
+    from segdetect.synth import SynthConfig, generate
+    generate(SynthConfig(seed=4, n_images=6), str(tmp_path))
+    manifest = read_manifest(tmp_path / "manifest.txt")
+    sizes = {image_id: (w, h) for image_id, w, h in manifest.images}
+    pixels = sorted(m.pixel_count for m in read_masks_file(tmp_path / "masks.txt", sizes, 0))
+    threshold = pixels[len(pixels) // 2]
+    assert pixels[0] < threshold < pixels[-1]
+    scores = read_seg_scores_file(tmp_path / "seg_scores.csv", sizes, 3)
+    ds = Dataset(manifest, min_segment_pixels=threshold)
+    kept = 0
+    for image_id in ds.image_order:
+        rec = ds.record(image_id)
+        ids = [m.segment_id for m in rec.masks]
+        assert ids == sorted(ids) and all(m.pixel_count >= threshold for m in rec.masks)
+        assert rec.seg_scores.dtype == np.float64 and rec.seg_scores.shape == (len(ids), 3)
+        assert rec.seg_scores.tolist() == [[scores[image_id, s, c] for c in (1, 2, 3)]
+                                           for s in ids]
+        kept += len(ids)
+    assert 0 < kept < len(pixels)
+
+
+def test_an_image_with_no_kept_masks_has_an_empty_score_array(tmp_path):
+    from segdetect.model import image_bundle
+    ds = Dataset(_write_tiny_dataset(tmp_path), min_segment_pixels=100)
+    assert ds.record("a").seg_scores.shape == (0, 2)
+    assert image_bundle(ds, "a").sigmoid_scores.shape == (0, 2)
+
+
+def test_missing_scores_name_the_first_key_in_image_mask_class_order(tmp_path):
+    """Two images each lose a score line, and the file is reversed; the error
+    names the earlier image's key, as a scan in image, mask id, class order does."""
+    from segdetect.synth import SynthConfig, generate
+    generate(SynthConfig(seed=2, n_images=4), str(tmp_path))
+    path = tmp_path / "seg_scores.csv"
+    lines = [line for line in path.read_text().splitlines()
+             if not line.startswith(("img0003,0,1,", "img0001,2,3,"))]
+    path.write_text("\n".join(reversed(lines)) + "\n")
+    with pytest.raises(InputError) as raised:
+        Dataset(read_manifest(tmp_path / "manifest.txt"), min_segment_pixels=0)
+    assert str(raised.value) == f"{path}: missing score for segment 2 of img0001, class 3"
+
+
 def test_dataset_unknown_image(tmp_path):
     ds = Dataset(_write_tiny_dataset(tmp_path), min_segment_pixels=0)
     with pytest.raises(InputError, match="unknown image"):
@@ -282,13 +325,16 @@ def small_many(tmp_path_factory):
 
 def _dataset_digest(dataset):
     h = hashlib.sha256()
+    scores = []     # ((image, segment, class), score) as the file keys them
     for image_id in dataset.image_order:
         rec = dataset.record(image_id)
         h.update(repr((image_id, rec.box_ids, rec.rows, rec.boxes, rec.gts,
                        [(m.segment_id, m.height, m.width, m.pixel_count, m.runs.dtype.str,
                          m.runs.tolist()) for m in rec.masks])).encode())
-    h.update(repr(sorted((key, score.hex()) for key, score in dataset.seg_scores.items()))
-             .encode())
+        scores += [((image_id, m.segment_id, c), score.hex())
+                   for m, row in zip(rec.masks, rec.seg_scores.tolist())
+                   for c, score in enumerate(row, 1)]
+    h.update(repr(sorted(scores)).encode())
     return h.hexdigest()
 
 

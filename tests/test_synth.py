@@ -131,12 +131,12 @@ def test_segment_scores_rank_true_class(tmp_path):
                  min_segment_pixels=0)
     world = SynthWorld(SynthConfig(seed=9, n_images=6))
     for img in world.images:
+        rec = ds.record(img.image_id)
+        assert [m.segment_id for m in rec.masks] == list(range(len(img.segments)))
         for seg_id, (_, source_class, _) in enumerate(img.segments):
             if source_class == 0:
                 continue
-            scores = [ds.seg_scores[(img.image_id, seg_id, c)]
-                      for c in range(1, 4)]
-            assert int(np.argmax(scores)) + 1 == source_class
+            assert int(np.argmax(rec.seg_scores[seg_id])) + 1 == source_class
 
 
 def test_provider_unknown_image_raises_keyerror():

@@ -11,6 +11,7 @@ from segdetect import training
 from segdetect.boxes import Box, iou
 from segdetect.config import Config
 from segdetect.dataset import Dataset, read_manifest
+from segdetect.errors import DivergedError
 from segdetect.masks import SegmentMask, tight_box
 from segdetect.model import FeatureBundle, ModelWeights, score_box
 from segdetect.synth import SynthConfig, generate
@@ -344,6 +345,14 @@ def test_sgd_objective_never_worse_than_start(rng):
     start = hinge_objective(w0, X, y, cfg.c_reg)
     w, _ = sgd_fit(X, y, w0, cfg, 3)
     assert hinge_objective(w, X, y, cfg.c_reg) <= start + 1e-12
+
+
+def test_sgd_raises_diverged_error_not_a_numpy_warning(rng):
+    """An overflowing step makes the objective inf; that is DivergedError,
+    and numpy's overflow warning stays silent."""
+    X, y = _separable_problem(rng, n=40)
+    with pytest.raises(DivergedError, match="reduce eta0"):
+        sgd_fit(X, y, np.zeros(X.shape[1]), Config(eta0=1e300), 0)
 
 
 def test_sgd_deterministic(rng):
