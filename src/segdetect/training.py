@@ -18,7 +18,7 @@ import numpy as np
 
 from .boxes import iou_row, rounded_corners
 from .dataset import write_records
-from .errors import DivergedError
+from .errors import DivergedError, NumericalError
 from .masks import tight_box
 from .model import FeatureBundle, ModelWeights, build_bundle, score_box, score_boxes
 from .segfeat import block_length
@@ -70,7 +70,7 @@ def hinge_objective(w, X, y, c_reg):
     return float(w[:-1] @ w[:-1] + c_reg * np.sum(np.maximum(margins, 0.0)))
 
 
-@np.errstate(over="ignore", invalid="ignore")    # a diverging objective raises below
+@np.errstate(over="ignore", invalid="ignore")    # a non-finite objective raises below
 def sgd_fit(X, y, w0, cfg, seed):
     """Minibatch subgradient descent on the cached hinge problem.
 
@@ -81,7 +81,8 @@ def sgd_fit(X, y, w0, cfg, seed):
     area) do not force a tiny global learning rate.  Returns (weights,
     objective trace); the returned weights are the epoch-boundary iterate with
     the lowest true objective, min(trace), so the result never scores worse
-    than w0 on the cache.
+    than w0 on the cache.  A non-finite start raises NumericalError naming
+    its cause, and an objective past 10x the start raises DivergedError.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -90,13 +91,16 @@ def sgd_fit(X, y, w0, cfg, seed):
     rng = np.random.default_rng(seed)
     initial = hinge_objective(w, X, y, cfg.c_reg)
     trace = [initial]
-    best_obj = initial
-    best_w = w.copy()
+    best_obj, best_w = initial, w.copy()
     step = 0
     reg2 = np.full_like(w, 2.0)    # the gradient of ||w||^2, bias left out
     reg2[-1] = 0.0
-    # max |x| per column, without an |X| copy of the cache
-    precond = np.maximum(np.maximum(X.max(axis=0), -X.min(axis=0)), 1.0) ** 2
+    peak = np.maximum(X.max(axis=0), -X.min(axis=0))    # max |x| per column, no |X| copy
+    precond = np.maximum(peak, 1.0) ** 2
+    bad = np.flatnonzero(~np.isfinite(precond))
+    if bad.size or not np.isfinite(initial):     # no eta0 can help, so name the cause
+        raise NumericalError(f"cache column {bad[0]}: |x| {peak[bad[0]]:.3g} squared is not finite"
+                             if bad.size else f"c_reg {cfg.c_reg}: start objective {initial}")
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         for lo in range(0, n, cfg.batch_size):
@@ -113,28 +117,24 @@ def sgd_fit(X, y, w0, cfg, seed):
         obj = hinge_objective(w, X, y, cfg.c_reg)
         trace.append(obj)
         if not np.isfinite(obj) or obj > 10.0 * max(initial, 1e-12):
-            raise DivergedError(
-                f"objective {obj:.3g} exceeded 10x initial {initial:.3g}; "
-                "reduce eta0")
+            raise DivergedError(f"objective {obj:.3g} exceeded 10x initial "
+                                f"{initial:.3g}; reduce eta0")
         if obj < best_obj:
             best_obj = obj
             best_w = w.copy()
     return best_w, trace
 
 
-def mine_hard_negatives(scored_negatives, cap):
+def mine_hard_negatives(scores, cap):
     """Keep the top-cap margin-violating negatives (score > -1).
 
-    scored_negatives: list of (score, image_id, box_id, payload), one per
-    (image_id, box_id).  The payload rides along untouched and is never
-    compared, so callers can pass what they need to build a kept negative's
-    feature row afterwards.  Ties in score are broken by (image_id, box_id).
-    Mining soundness: everything kept scores at least as high as anything
-    scored but dropped.
+    scores: a 1-D array, one score per negative, in tie order.  Returns the
+    violators' indices into scores as an int array, highest score first and
+    equal scores in input order, at most cap of them.  Mining soundness:
+    everything kept scores at least as high as anything scored but dropped.
     """
-    kept = [entry for entry in scored_negatives if entry[0] > -1.0]
-    kept.sort(key=lambda t: (-t[0], t[1], t[2]))
-    return kept[:cap]
+    violators = np.flatnonzero(scores > -1.0)
+    return violators[np.argsort(-scores[violators], kind="stable")[:cap]]
 
 
 @dataclass
@@ -218,7 +218,8 @@ def train_class(records, groups, spots, weights: ModelWeights, detector, cfg,
     positives (the latent relabel), then the negatives, with one score_boxes
     call per group, and builds feature rows only for the kept negatives.
     Each round's cache is one matrix: the positives in image order, then the
-    kept negatives in mining order.  Latents are segment indices, -1 for none.
+    kept negatives by score, ties in the (image id, box id) order of the
+    negatives' index arrays.  Latents are segment indices, -1 for none.
     Without use_seg the positives start at no segment.  With w_seg at zero,
     scoring then picks no segment anywhere, every segment column of the
     cache is zero and SGD leaves w_seg at exactly zero.
@@ -233,13 +234,12 @@ def train_class(records, groups, spots, weights: ModelWeights, detector, cfg,
         latent = (init_latent([rec.boxes[k] for k in b], rec.masks).tolist()
                   if use_seg and b else [-1] * len(b))
         pos += [[g, lo + k] + [h] * weights.n_classes for k, h in zip(b, latent)]
-        neg += [(g, lo + k, rec.image_id, rec.box_ids[k])
+        neg += [(rec.image_id, rec.box_ids[k], g, lo + k)
                 for k in np.flatnonzero(labels == -1).tolist()]
     if not pos:
         return None
     pos = np.array(pos, dtype=np.intp)   # group, group row, latent
-    neg_group, neg_rows, image_ids, box_ids = zip(*neg) if neg else [()] * 4
-    neg_group, neg_rows = np.array(neg_group, dtype=np.intp), np.array(neg_rows, dtype=np.intp)
+    neg_group, neg_rows = np.array([n[2:] for n in sorted(neg)], dtype=np.intp).reshape(-1, 2).T
     del neg
     rounds = []
     for rnd in range(1, cfg.outer_iters + 1):
@@ -249,8 +249,7 @@ def train_class(records, groups, spots, weights: ModelWeights, detector, cfg,
             changed = int(np.count_nonzero(latent != pos[:, 2:]))
             pos[:, 2:] = latent
         scores, latent = _score(groups, neg_group, neg_rows, weights, detector)
-        kept = [k for *_, k in mine_hard_negatives(list(zip(
-            scores.tolist(), image_ids, box_ids, range(len(neg_rows)))), cfg.neg_cache_cap)]
+        kept = mine_hard_negatives(scores, cfg.neg_cache_cap)
         # X comes before the kept rows' gathers, whose freed temporaries then
         # lie above it: concatenating first read 0.5 MB more peak RSS
         w0 = _detector_weight_vector(weights, detector)

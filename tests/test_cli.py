@@ -164,6 +164,23 @@ def test_diverging_training_exits_3(trained, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("change, cause", [
+    ({"lambda_bias": 1e308}, r"cache column \d+: \|x\| 1e\+308 squared is not finite"),
+    ({"c_reg": 1e308}, r"c_reg 1e\+308: start objective inf"),
+], ids=["lambda_bias", "c_reg"])
+def test_non_finite_training_start_exits_3_naming_its_cause(trained, tmp_path, capsys,
+                                                           change, cause):
+    """No learning rate helps a start that is already non-finite: with
+    lambda_bias 1e308 the overlap column squares to inf in the step scale,
+    and with c_reg 1e308 the start objective is inf."""
+    out = tmp_path / "model.txt"
+    err = _numerical_exit(["train", *_with_config(trained, tmp_path, **change),
+                           "--out", str(out)], capsys)
+    assert re.fullmatch(f"numerical error: {cause}\n", err), err
+    assert "eta0" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("ridge", [0.0, 1e-20, 1e-300])
 def test_singular_ridge_fit_exits_3(trained, tmp_path, capsys, ridge):
     """Synth regression rows end in a constant 1, which duplicates the

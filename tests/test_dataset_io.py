@@ -524,7 +524,7 @@ def test_unused_import_guard_sees_what_a_module_leaves_unread(tmp_path):
 
 # the lines src/segdetect/*.py may hold; a change that must grow src/ raises
 # this number and says why in CHANGES.md
-SRC_LINE_CAP = 2617
+SRC_LINE_CAP = 2616
 
 
 def test_src_stays_within_its_line_cap():

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (group_bundle, make_bundle, random_boxes, random_masks,
                       segment_contributions)
@@ -239,21 +241,51 @@ def test_cache_matrix_matches_per_box_oracle(n_classes, grid_k):
     assert X.shape == oracle.shape and X.tobytes() == oracle.tobytes()
 
 
+def tuple_mine(scored_negatives, cap):
+    """Oracle: mining over a list of (score, image_id, box_id, payload).
+
+    The top-cap violators (score > -1), ties in score broken by
+    (image_id, box_id); the payload is never compared.
+    """
+    kept = [entry for entry in scored_negatives if entry[0] > -1.0]
+    kept.sort(key=lambda t: (-t[0], t[1], t[2]))
+    return kept[:cap]
+
+
 def test_mining_keeps_only_violators():
-    scored = [(0.5, "a", 0, None), (-0.5, "a", 1, None),
-              (-1.0, "a", 2, None), (-2.0, "b", 0, None)]
-    mined = mine_hard_negatives(scored, cap=10)
-    assert [(s, i, b) for s, i, b, _ in mined] == [(0.5, "a", 0), (-0.5, "a", 1)]
+    mined = mine_hard_negatives(np.array([0.5, -0.5, -1.0, -2.0]), cap=10)
+    assert mined.tolist() == [0, 1]
 
 
 def test_mining_cap_keeps_highest():
-    scored = [(float(s) / 10, "a", s, None) for s in range(8)]
-    mined = mine_hard_negatives(scored, cap=3)
-    assert [b for _, _, b, _ in mined] == [7, 6, 5]
+    scores = np.arange(8) / 10
+    mined = mine_hard_negatives(scores, cap=3)
+    assert mined.tolist() == [7, 6, 5]
     # soundness: every kept score >= every dropped violator score
-    kept = {b for _, _, b, _ in mined}
-    dropped = [s / 10 for s in range(8) if s not in kept]
-    assert min(s for s, _, _, _ in mined) >= max(dropped)
+    assert scores[mined].min() >= np.delete(scores, mined).max()
+
+
+@pytest.mark.parametrize("cap_of", [lambda n: 1, lambda n: n, lambda n: n + 3],
+                         ids=["cap-1", "cap-violators", "cap-above"])
+@settings(derandomize=True, max_examples=150, deadline=None)
+@example({("a", 0): 0.0, ("a", 1): -0.0, ("b", 0): 0.0, ("a", 2): -1.0,
+          ("b", 3): -0.0, ("c", 1): -1.0, ("b", 1): 0.5, ("c", 0): 0.5})
+@given(st.dictionaries(st.tuples(st.sampled_from("abc"), st.integers(0, 9)),
+                       st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5])
+                       | st.floats(-3.0, 3.0), max_size=30))
+def test_mining_keeps_the_tuple_sorts_negatives_in_its_order(cap_of, negatives):
+    """Scores in (image id, box id) order mine what the tuple sort mines.
+
+    negatives maps (image id, box id) to a score: many exact ties, -1.0
+    (never kept), and -0.0 beside 0.0, which tie.
+    """
+    keys = sorted(negatives)
+    scores = np.array([negatives[k] for k in keys])
+    cap = cap_of(int(np.count_nonzero(scores > -1.0)))
+    mined = mine_hard_negatives(scores, cap)
+    assert mined.dtype.kind == "i"
+    expected = tuple_mine([(score, *key, None) for key, score in negatives.items()], cap)
+    assert [keys[k] for k in mined.tolist()] == [(i, b) for _, i, b, _ in expected]
 
 
 def _small_world(tmp_path):
@@ -263,20 +295,28 @@ def _small_world(tmp_path):
 
 
 def test_mining_sees_each_negative_once(tmp_path, monkeypatch):
-    """mine_hard_negatives keeps no dedup: train scores each (image, box) once."""
+    """Each round mines one score per negative of the class, and its log
+    counts what mining kept: what a tracer reads from mining's argument and
+    result."""
     mine = training.mine_hard_negatives
     calls = []
 
-    def checked(scored_negatives, cap):
-        keys = [(image_id, box_id) for _, image_id, box_id, _ in scored_negatives]
-        assert len(set(keys)) == len(keys)
-        calls.append(len(keys))
-        return mine(scored_negatives, cap)
+    def observed(scores, cap):
+        result = mine(scores, cap)
+        calls.append((len(scores), len(result)))
+        return result
 
     dataset, cfg = _small_world(tmp_path)
-    monkeypatch.setattr(training, "mine_hard_negatives", checked)
-    train(dataset, cfg)
-    assert len(calls) == 2 * dataset.n_classes and min(calls) > 0
+    monkeypatch.setattr(training, "mine_hard_negatives", observed)
+    rounds = train(dataset, cfg).rounds
+    records = [dataset.record(image_id) for image_id in dataset.image_order]
+    negatives = [sum(int(np.count_nonzero(assign_labels(
+        rec.boxes, [box for cid, box, difficult in rec.gts
+                    if cid == r.class_id and not difficult],
+        cfg.pos_iou, cfg.neg_iou) == -1)) for rec in records) for r in rounds]
+    assert len(rounds) == 2 * dataset.n_classes and min(negatives) > 0
+    assert [scored for scored, _ in calls] == negatives
+    assert sum(kept for _, kept in calls) == sum(r.num_hard_negs for r in rounds)
 
 
 def test_train_finds_tight_boxes_once_per_image_and_detector(tmp_path, monkeypatch):
@@ -476,8 +516,8 @@ def per_image_train(dataset, cfg, use_seg=True):
 
     The first latents come from first_latent, box by box.  Each round
     relabels each positive with the one-box relabel_positives, scores the
-    negatives with one score_boxes call per image and builds the cache row by
-    row with instance_row.
+    negatives with one score_boxes call per image, mines them with the tuple
+    sort of tuple_mine and builds the cache row by row with instance_row.
     """
     from segdetect.model import build_bundle, score_boxes
     bundles = [build_bundle(dataset, image_id, cfg.grid_k, cfg.lambda_bias)
@@ -510,7 +550,7 @@ def per_image_train(dataset, cfg, use_seg=True):
                 scores, chosen = score_boxes(bundle, weights, detector, boxes)
                 scored.extend((score, bundle.image_id, bundle.box_ids[b], (i, b, h))
                               for score, b, h in zip(scores, boxes, chosen))
-            mined = [entry for *_, entry in mine_hard_negatives(scored, cfg.neg_cache_cap)]
+            mined = [entry for *_, entry in tuple_mine(scored, cfg.neg_cache_cap)]
             X = np.array([instance_row(bundles[i], b, h, weights.seg_block_len)
                           for i, b, h in [(i, b, latent[(i, b)]) for i, b in positives]
                           + mined])
@@ -530,6 +570,9 @@ def test_train_writes_the_per_image_oracles_bytes(tmp_path, monkeypatch, group_f
     With min_segment_pixels 500, images keep 0, 1 or 2 segments, and class 4
     has no positives: its objects are all marked difficult.  An 800-float
     group bound splits each segment count into groups of two to four images.
+    Box ids run backwards within each image, so the (image id, box id) order
+    that breaks mining's score ties (every negative scores 0 in round 1) is
+    not the row order.
     """
     from segdetect.model import save_model
     from segdetect.training import write_training_log
@@ -539,6 +582,10 @@ def test_train_writes_the_per_image_oracles_bytes(tmp_path, monkeypatch, group_f
     rows = [line.split(",") for line in gt.read_text().splitlines()]
     gt.write_text("".join(",".join([*row[:-1], "1" if row[1] == "4" else row[-1]]) + "\n"
                           for row in rows))
+    boxes = tmp_path / "boxes.csv"
+    rows = [line.split(",") for line in boxes.read_text().splitlines()]
+    boxes.write_text("".join(",".join([row[0], str(1000 - int(row[1])), *row[2:]]) + "\n"
+                             for row in rows))
     cfg = Config(min_segment_pixels=500, grid_k=2, epochs=3, outer_iters=3,
                  neg_cache_cap=40)
     dataset = Dataset(read_manifest(tmp_path / "manifest.txt"),
