@@ -53,6 +53,8 @@ def read_feature_matrix(path):
     if version != FEATURE_VERSION:
         raise InputError(f"{path}:0: unsupported feature format version {version}")
     rows, cols = struct.unpack_from("<QQ", blob, 8)
+    if max(rows, cols) >= 2 ** 60:    # numpy refuses it even at 0 bytes: 8 x dim overflows
+        raise InputError(f"{path}:0: {rows}x{cols} header: a dimension reaches 2**60")
     payload = blob[24:]
     if len(payload) != rows * cols * 4:
         raise InputError(f"{path}:0: payload length {len(payload)} does not match "

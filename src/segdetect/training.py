@@ -6,6 +6,8 @@ latent segment choices are frozen, so the cached problem is a plain linear
 SVM; the fitter returns the best weights it saw, which keeps the frozen-cache
 objective non-increasing.  Training holds only the image records and their
 features, stacked by segment count; each round scores a group in one call.
+The cache holds signed rows z = y x: train_class negates the kept negatives'
+rows in place.  As y is +-1 and negation commutes with IEEE rounding, no bit moves.
 """
 
 from __future__ import annotations
@@ -64,38 +66,37 @@ def relabel_positives(bundle: FeatureBundle, weights: ModelWeights,
     return score_box(bundle, weights, detector, box_index)[1]
 
 
-def hinge_objective(w, X, y, c_reg):
-    """||w||^2 + C * sum hinge; the trailing (bias) weight is not regularized."""
-    margins = 1.0 - y * (X @ w)
-    return float(w[:-1] @ w[:-1] + c_reg * np.sum(np.maximum(margins, 0.0)))
+def hinge_objective(w, Z, c_reg):
+    """||w||^2 + C * sum hinge over signed rows z = y x, negatives negated in place by
+    train_class (exact, as y is +-1); the trailing (bias) weight is not regularized."""
+    return float(w[:-1] @ w[:-1] + c_reg * np.sum(np.maximum(1.0 - Z @ w, 0.0)))
 
 
 @np.errstate(over="ignore", invalid="ignore")    # a non-finite objective raises below
-def sgd_fit(X, y, w0, cfg, seed):
+def sgd_fit(Z, w0, cfg, seed):
     """Minibatch subgradient descent on the cached hinge problem.
 
-    Reads c_reg, eta0, decay, epochs and batch_size from the Config cfg.
-    Deterministic given the seed.  Steps are diagonally preconditioned by the
-    squared per-column scale of the cache, so coordinates with very large
+    Z holds signed rows z = y x, the negatives negated in place by train_class.
+    A row violates when z @ w < 1 and adds z to the gradient sum.  That is the
+    labelled fit bit for bit: y is +-1 and negation commutes with IEEE
+    rounding, so z @ w differs from y (x @ w) at most in the sign of an exact
+    zero, which 1 - z @ w drops, and the z sums add the y x values in the same
+    order.  Reads c_reg, eta0, decay, epochs and batch_size from the Config
+    cfg.  Deterministic given the seed.  Steps are diagonally preconditioned by
+    the squared per-column scale of the cache, so coordinates with very large
     feature magnitudes (the degenerate background normalizer can reach image
     area) do not force a tiny global learning rate.  Returns (weights,
     objective trace); the returned weights are the epoch-boundary iterate with
     the lowest true objective, min(trace), so the result never scores worse
-    than w0 on the cache.  A non-finite start raises NumericalError naming
-    its cause, and an objective past 10x the start raises DivergedError.
+    than w0 on the cache.  A non-finite start raises NumericalError naming its
+    cause, and an objective past 10x the start raises DivergedError.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n = X.shape[0]
-    w = np.array(w0, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    initial = hinge_objective(w, X, y, cfg.c_reg)
-    trace = [initial]
-    best_obj, best_w = initial, w.copy()
-    step = 0
-    reg2 = np.full_like(w, 2.0)    # the gradient of ||w||^2, bias left out
-    reg2[-1] = 0.0
-    peak = np.maximum(X.max(axis=0), -X.min(axis=0))    # max |x| per column, no |X| copy
+    Z, w = np.asarray(Z, dtype=np.float64), np.array(w0, dtype=np.float64)
+    n, rng = len(Z), np.random.default_rng(seed)
+    initial = hinge_objective(w, Z, cfg.c_reg)
+    trace, best_w, steps = [initial], w.copy(), itertools.count()
+    reg2 = np.append(np.full(len(w) - 1, 2.0), 0.0)    # the gradient of ||w||^2, bias left out
+    peak = np.maximum(Z.max(axis=0), -Z.min(axis=0))    # max |z| = max |x| per column, no copy
     precond = np.maximum(peak, 1.0) ** 2
     bad = np.flatnonzero(~np.isfinite(precond))
     if bad.size or not np.isfinite(initial):     # no eta0 can help, so name the cause
@@ -104,24 +105,21 @@ def sgd_fit(X, y, w0, cfg, seed):
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         for lo in range(0, n, cfg.batch_size):
-            batch = order[lo:lo + cfg.batch_size]
-            eta = cfg.eta0 / (1.0 + cfg.decay * step)
-            step += 1
-            Xb, yb = X[batch], y[batch]
-            viol = 1.0 - yb * (Xb @ w) > 0
+            eta = cfg.eta0 / (1.0 + cfg.decay * next(steps))
+            Zb = Z[order[lo:lo + cfg.batch_size]]
+            viol = 1.0 - Zb @ w > 0
             grad = w * reg2
-            if viol.any():
-                scale = cfg.c_reg * n / len(batch)
-                grad -= scale * np.add.reduce(yb[viol, None] * Xb[viol], axis=0)
+            if viol.any():     # the gather only when some row holds its margin
+                Zv = Zb if viol.all() else Zb[viol]
+                grad -= cfg.c_reg * n / len(Zb) * np.add.reduce(Zv, axis=0)
             w -= eta * grad / precond
-        obj = hinge_objective(w, X, y, cfg.c_reg)
-        trace.append(obj)
+        obj = hinge_objective(w, Z, cfg.c_reg)
         if not np.isfinite(obj) or obj > 10.0 * max(initial, 1e-12):
             raise DivergedError(f"objective {obj:.3g} exceeded 10x initial "
                                 f"{initial:.3g}; reduce eta0")
-        if obj < best_obj:
-            best_obj = obj
+        if obj < min(trace):
             best_w = w.copy()
+        trace.append(obj)
     return best_w, trace
 
 
@@ -258,11 +256,11 @@ def train_class(records, groups, spots, weights: ModelWeights, detector, cfg,
         _fill_cache(X, len(pos), groups, neg_group[kept], neg_rows[kept], latent[kept],
                     weights)
         del scores, latent      # the negatives' arrays live for one round
-        y = np.repeat([1.0, -1.0], [len(pos), len(kept)])
-        w, trace = sgd_fit(X, y, w0, cfg, cfg.seed + detector)
+        np.negative(X[len(pos):], out=X[len(pos):])     # signed rows: y = -1
+        w, trace = sgd_fit(X, w0, cfg, cfg.seed + detector)
         _store_detector_weights(weights, detector, w)
         rounds.append(RoundLog(rnd, detector, min(trace), trace[0], len(kept), changed))
-        del X, y, kept     # before the next round builds its own
+        del X, kept     # before the next round builds its own
     return rounds
 
 

@@ -9,6 +9,7 @@ import contextlib
 import io
 import re
 import shutil
+import struct
 import tempfile
 from pathlib import Path
 
@@ -197,6 +198,31 @@ def test_bad_input_exits_2_naming_the_file(world, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert re.search(expect, err), err
+
+
+@pytest.mark.parametrize("rows,cols,expect", [
+    (2 ** 63, 0, r"app\.feat:0: 9223372036854775808x0 header"),
+    (0, 2 ** 63, r"app\.feat:0: 0x9223372036854775808 header"),
+    (2 ** 60, 0, r"app\.feat:0: 1152921504606846976x0 header"),
+    (0, 2 ** 64 - 1, r"app\.feat:0: 0x18446744073709551615 header"),
+    # numpy takes a dimension below 2**60; the boxes file's row count rejects it
+    (2 ** 60 - 1, 0, r"app\.feat: appearance matrix has 1152921504606846975 rows"),
+    (0, 2 ** 60 - 1, r"app\.feat: appearance matrix has 0 rows"),
+], ids=["2**63x0", "0x2**63", "2**60x0", "0x2**64-1", "2**60-1x0", "0x2**60-1"])
+def test_feature_header_numpy_cannot_shape_exits_2(world, tmp_path, capsys, rows, cols,
+                                                   expect):
+    """A zero dimension passes the payload length check (0 bytes) however large
+    the other one is; numpy refuses an array whose dimension times 8 bytes
+    passes 2**63 - 1, even with no elements."""
+    root = tmp_path / "w"
+    shutil.copytree(world, root)
+    (root / "app.feat").write_bytes(b"SDMF" + struct.pack("<I", 1)
+                                    + struct.pack("<QQ", rows, cols))
+    assert main(["train", "--manifest", str(root / "manifest.txt"),
+                 "--config", str(root / "config.txt"),
+                 "--out", str(tmp_path / "model.txt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and re.search(expect, err), err
 
 
 def test_test_manifest_keeps_its_own_scores_and_checks_every_line(world, tmp_path,

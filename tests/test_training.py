@@ -13,7 +13,7 @@ from segdetect import training
 from segdetect.boxes import Box, iou
 from segdetect.config import Config
 from segdetect.dataset import Dataset, read_manifest
-from segdetect.errors import DivergedError
+from segdetect.errors import DivergedError, NumericalError
 from segdetect.masks import SegmentMask, tight_box
 from segdetect.model import FeatureBundle, ModelWeights, score_box
 from segdetect.synth import SynthConfig, generate
@@ -363,6 +363,154 @@ def test_stack_leaves_no_per_image_bundle_alive(tmp_path):
     assert len(spots) == len(records)
 
 
+def labelled_hinge_objective(w, X, y, c_reg):
+    """Oracle: the hinge objective on rows X with labels y."""
+    margins = 1.0 - y * (X @ w)
+    return float(w[:-1] @ w[:-1] + c_reg * np.sum(np.maximum(margins, 0.0)))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def labelled_sgd_fit(X, y, w0, cfg, seed, batches=None):
+    """Oracle: sgd_fit on rows X with labels y, multiplying each batch's
+    violators by their labels.  batches, when given, collects "all", "some"
+    or "none" for each step's violators."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n = X.shape[0]
+    w = np.array(w0, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    initial = labelled_hinge_objective(w, X, y, cfg.c_reg)
+    trace = [initial]
+    best_obj, best_w = initial, w.copy()
+    step = 0
+    reg2 = np.full_like(w, 2.0)
+    reg2[-1] = 0.0
+    peak = np.maximum(X.max(axis=0), -X.min(axis=0))
+    precond = np.maximum(peak, 1.0) ** 2
+    bad = np.flatnonzero(~np.isfinite(precond))
+    if bad.size or not np.isfinite(initial):
+        raise NumericalError(f"cache column {bad[0]}: |x| {peak[bad[0]]:.3g} squared is not finite"
+                             if bad.size else f"c_reg {cfg.c_reg}: start objective {initial}")
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for lo in range(0, n, cfg.batch_size):
+            batch = order[lo:lo + cfg.batch_size]
+            eta = cfg.eta0 / (1.0 + cfg.decay * step)
+            step += 1
+            Xb, yb = X[batch], y[batch]
+            viol = 1.0 - yb * (Xb @ w) > 0
+            if batches is not None:
+                batches.append("all" if viol.all() else "some" if viol.any() else "none")
+            grad = w * reg2
+            if viol.any():
+                scale = cfg.c_reg * n / len(batch)
+                grad -= scale * np.add.reduce(yb[viol, None] * Xb[viol], axis=0)
+            w -= eta * grad / precond
+        obj = labelled_hinge_objective(w, X, y, cfg.c_reg)
+        trace.append(obj)
+        if not np.isfinite(obj) or obj > 10.0 * max(initial, 1e-12):
+            raise DivergedError(f"objective {obj:.3g} exceeded 10x initial "
+                                f"{initial:.3g}; reduce eta0")
+        if obj < best_obj:
+            best_obj = obj
+            best_w = w.copy()
+    return best_w, trace
+
+
+def _outcome(fit, *args):
+    """(weight bytes, trace) of a fit, or the type and message it raised."""
+    try:
+        w, trace = fit(*args)
+    except (NumericalError, DivergedError) as e:
+        return type(e), str(e)
+    return w.tobytes(), trace
+
+
+def _signed(X, y):
+    return X * y[:, None]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(2, 500), st.integers(1, 300), st.integers(1, 64), st.integers(1, 3),
+       st.sampled_from(["zero", "random", "separating"]),
+       st.sampled_from([0.0, 0.3]),
+       st.sampled_from(["plain", "diverge", "bad-column", "huge-c"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_signed_fit_is_the_labelled_fit_bit_for_bit(d, n, batch, epochs, start, zeros,
+                                                    regime, seed):
+    """sgd_fit on X * y[:, None] returns the labelled oracle's weight bits and
+    trace, or raises its error with its message.
+
+    Cache-like rows end in a bias 1.  A zero start makes every row violate,
+    a start that separates the rows makes none do, and a random start some;
+    exact zeros become -0.0 in the negatives' signed rows.
+    """
+    rng = np.random.default_rng(seed)
+    X = rng.normal(0, 1, (n, d)) * rng.choice([1e-3, 1.0, 30.0], d)
+    X[rng.random((n, d)) < zeros] = 0.0
+    X[:, -1] = 1.0
+    v = rng.normal(0, 1, d)
+    y = np.where(X @ v >= 0, 1.0, -1.0)
+    w0 = {"zero": np.zeros(d), "random": rng.normal(0, 1, d),
+          "separating": v * (2.0 / max(np.abs(X @ v).min(), 1e-3))}[start]
+    cfg = Config(c_reg=float(rng.choice([1e-3, 0.1, 1.0])), eta0=0.05, epochs=epochs,
+                 batch_size=batch)
+    if regime == "diverge":
+        cfg.eta0 = 1e300
+    elif regime == "bad-column":
+        X[rng.integers(n), rng.integers(d - 1)] = 1e200
+    elif regime == "huge-c":
+        cfg.c_reg = 1e308
+    expected = _outcome(labelled_sgd_fit, X, y, w0, cfg, seed)
+    assert _outcome(sgd_fit, _signed(X, y), w0, cfg, seed) == expected
+    if regime == "plain":
+        assert hinge_objective(w0, _signed(X, y), cfg.c_reg) == expected[1][0]
+
+
+def test_signed_fit_matches_the_labelled_fit_on_all_some_and_none_violating_batches(rng):
+    """One fit whose batches include each kind of violator set: all rows,
+    some rows and none."""
+    X, y = _separable_problem(rng, n=61, d=4)
+    X[rng.random(X.shape) < 0.2] = 0.0
+    X[:, -1] = 1.0
+    cfg = Config(c_reg=1.0, eta0=0.05, epochs=3, batch_size=4)
+    batches = []
+    w, trace = labelled_sgd_fit(X, y, np.zeros(X.shape[1]), cfg, 5, batches)
+    assert set(batches) == {"all", "some", "none"}
+    signed_w, signed_trace = sgd_fit(_signed(X, y), np.zeros(X.shape[1]), cfg, 5)
+    assert signed_w.tobytes() == w.tobytes() and signed_trace == trace
+
+
+@pytest.mark.parametrize("d", [2, 17, 500])
+def test_signed_products_and_sums_are_the_labelled_ones(d):
+    """The numpy/BLAS dispatch the signed cache's bit-exactness rests on.
+
+    For 1 to 64 fancy-indexed rows, Z[rows] @ w is y[rows] * (X[rows] @ w)
+    bit for bit, except that an exact zero may differ in sign, which the
+    margin 1 - z @ w drops; and Z's column sums are those of the labelled
+    rows, whether or not a boolean gather of all of them comes first.  If a
+    numpy or BLAS upgrade changes the golden hashes, this test names the cause.
+    """
+    rng = np.random.default_rng(d)
+    X = rng.normal(0, 1, (300, d))
+    X[rng.random(X.shape) < 0.2] = 0.0
+    X[7] = 0.0
+    y = rng.choice([-1.0, 1.0], 300)
+    Z = _signed(X, y)
+    w = rng.normal(0, 1, d)
+    for size in range(1, 65):
+        rows = rng.permutation(300)[:size]
+        if size % 8 == 0:
+            rows[0] = 7
+        products, labelled = Z[rows] @ w, y[rows] * (X[rows] @ w)
+        assert np.array_equal(products, labelled)
+        assert products[labelled != 0].tobytes() == labelled[labelled != 0].tobytes()
+        assert (1.0 - products).tobytes() == (1.0 - labelled).tobytes()
+        sums = np.add.reduce(Z[rows], axis=0)
+        assert sums.tobytes() == np.add.reduce(y[rows, None] * X[rows], axis=0).tobytes()
+        assert sums.tobytes() == np.add.reduce(Z[rows][np.ones(size, bool)], axis=0).tobytes()
+
+
 def _separable_problem(rng, n=60, d=3, margin=2.0):
     X = rng.normal(0, 1, (n, d))
     y = np.where(X[:, 0] > 0, 1.0, -1.0)
@@ -373,18 +521,19 @@ def _separable_problem(rng, n=60, d=3, margin=2.0):
 def test_sgd_separates_easy_problem(rng):
     X, y = _separable_problem(rng)
     cfg = Config(c_reg=1.0, eta0=0.05, epochs=60, batch_size=8)
-    w, trace = sgd_fit(X, y, np.zeros(X.shape[1]), cfg, 1)
+    w, trace = sgd_fit(_signed(X, y), np.zeros(X.shape[1]), cfg, 1)
     assert np.all(np.sign(X @ w) == y)
     assert trace[-1] <= trace[0]
 
 
 def test_sgd_objective_never_worse_than_start(rng):
     X, y = _separable_problem(rng, n=40)
+    Z = _signed(X, y)
     cfg = Config(c_reg=0.5, eta0=0.02, epochs=5, batch_size=4)
     w0 = rng.normal(0, 1, X.shape[1])
-    start = hinge_objective(w0, X, y, cfg.c_reg)
-    w, _ = sgd_fit(X, y, w0, cfg, 3)
-    assert hinge_objective(w, X, y, cfg.c_reg) <= start + 1e-12
+    start = hinge_objective(w0, Z, cfg.c_reg)
+    w, _ = sgd_fit(Z, w0, cfg, 3)
+    assert hinge_objective(w, Z, cfg.c_reg) <= start + 1e-12
 
 
 def test_sgd_raises_diverged_error_not_a_numpy_warning(rng):
@@ -392,23 +541,23 @@ def test_sgd_raises_diverged_error_not_a_numpy_warning(rng):
     and numpy's overflow warning stays silent."""
     X, y = _separable_problem(rng, n=40)
     with pytest.raises(DivergedError, match="reduce eta0"):
-        sgd_fit(X, y, np.zeros(X.shape[1]), Config(eta0=1e300), 0)
+        sgd_fit(_signed(X, y), np.zeros(X.shape[1]), Config(eta0=1e300), 0)
 
 
 def test_sgd_deterministic(rng):
     X, y = _separable_problem(rng)
     cfg = Config(c_reg=1.0, eta0=0.05, epochs=10, batch_size=8)
-    w1, t1 = sgd_fit(X, y, np.zeros(X.shape[1]), cfg, 2)
-    w2, t2 = sgd_fit(X, y, np.zeros(X.shape[1]), cfg, 2)
+    w1, t1 = sgd_fit(_signed(X, y), np.zeros(X.shape[1]), cfg, 2)
+    w2, t2 = sgd_fit(_signed(X, y), np.zeros(X.shape[1]), cfg, 2)
     np.testing.assert_array_equal(w1, w2)
     assert t1 == t2
 
 
 def test_sgd_small_c_shrinks_weights(rng):
     X, y = _separable_problem(rng)
-    big = sgd_fit(X, y, np.zeros(X.shape[1]),
+    big = sgd_fit(_signed(X, y), np.zeros(X.shape[1]),
                   Config(c_reg=10.0, eta0=0.05, epochs=40), 0)[0]
-    small = sgd_fit(X, y, np.zeros(X.shape[1]),
+    small = sgd_fit(_signed(X, y), np.zeros(X.shape[1]),
                     Config(c_reg=1e-4, eta0=0.05, epochs=40), 0)[0]
     assert np.linalg.norm(small[:-1]) < np.linalg.norm(big[:-1])
 
@@ -416,11 +565,13 @@ def test_sgd_small_c_shrinks_weights(rng):
 def test_hinge_objective_values():
     X = np.array([[1.0, 1.0], [-2.0, 1.0]])
     y = np.array([1.0, -1.0])
+    Z = _signed(X, y)
+    assert Z.tolist() == [[1.0, 1.0], [2.0, -1.0]]
     w = np.array([1.0, 0.0])
     # margins: 1 - 1*1 = 0 and 1 - (-1)(-2) = -1, both satisfied
-    assert hinge_objective(w, X, y, 5.0) == pytest.approx(1.0)
+    assert hinge_objective(w, Z, 5.0) == pytest.approx(1.0)
     w = np.array([0.0, 0.0])
-    assert hinge_objective(w, X, y, 5.0) == pytest.approx(10.0)
+    assert hinge_objective(w, Z, 5.0) == pytest.approx(10.0)
 
 
 def test_no_seg_training_keeps_seg_weights_at_plus_zero(tmp_path):
@@ -460,12 +611,12 @@ def test_train_builds_rows_only_for_kept_negatives(tmp_path, monkeypatch):
         built.extend(range(first, first + len(rows)))
         return fill_cache(X, first, groups, group_of, rows, latent, weights)
 
-    def counted_sgd(X, y, *args):
-        assert sorted(built) == list(range(len(X)))
-        assert len(X) == np.count_nonzero(y == 1) + 5
+    def counted_sgd(Z, *args):
+        assert sorted(built) == list(range(len(Z)))
+        assert len(Z) == np.count_nonzero(Z[:, -1] == 1) + 5
         built.clear()
-        fitted.append(len(X))
-        return sgd(X, y, *args)
+        fitted.append(len(Z))
+        return sgd(Z, *args)
 
     monkeypatch.setattr(training, "_fill_cache", counted_rows)
     monkeypatch.setattr(training, "sgd_fit", counted_sgd)
@@ -555,7 +706,7 @@ def per_image_train(dataset, cfg, use_seg=True):
                           for i, b, h in [(i, b, latent[(i, b)]) for i, b in positives]
                           + mined])
             y = np.repeat([1.0, -1.0], [len(positives), len(mined)])
-            w, trace = sgd_fit(X, y, training._detector_weight_vector(weights, detector),
+            w, trace = sgd_fit(_signed(X, y), training._detector_weight_vector(weights, detector),
                                cfg, cfg.seed + detector)
             training._store_detector_weights(weights, detector, w)
             rounds.append(training.RoundLog(rnd, detector, min(trace), trace[0],
