@@ -18,7 +18,7 @@ from .config import check_range
 from .dataset import (box_rows, check, class_ids, finite, read_blocks, read_table,
                       write_records)
 from .errors import InputError, NumericalError
-from .segfeat import GridSpec, assemble_block, block_length, segclass_feat
+from .segfeat import GridSpec, assemble_block, block_length, box_lattice, segclass_feat
 from .masks import largest_segment_area, summed_area
 
 NONE_SEGMENT = None
@@ -143,19 +143,21 @@ def segment_blocks(boxes, masks, grid_k, lam) -> np.ndarray:
 
     The one block-extraction loop: build_bundle runs it on every box, and
     iterate_boxes on every refined box.  The background normaliser m is the
-    largest segment's area.  Each segment's summed-area table is a local,
-    built only when there are boxes and dropped after that segment, so no
-    mask keeps one.
+    largest segment's area.  Each box's `box_lattice` is built once and
+    serves every mask, since Dataset checks that masks have the image's
+    W x H.  Each segment's summed-area table is a local, built only when
+    there are boxes and dropped after that segment, so no mask keeps one.
     """
     grid = GridSpec(grid_k)
     m = largest_segment_area(masks)
     out = np.zeros((len(boxes), len(masks), block_length(grid_k) - 1))
-    if not boxes:
+    if not boxes or not masks:
         return out
+    lattices = [box_lattice(box, grid_k, masks[0].width, masks[0].height) for box in boxes]
     for s, mask in enumerate(masks):
         table = summed_area(mask)
-        for b, box in enumerate(boxes):
-            out[b, s] = assemble_block(box, mask, 0.0, grid, lam, m, table)[:-1]
+        for b, (box, lattice) in enumerate(zip(boxes, lattices)):
+            out[b, s] = assemble_block(box, mask, 0.0, grid, lam, m, table, lattice)[:-1]
     return out
 
 
@@ -207,9 +209,9 @@ def score_boxes(bundle: FeatureBundle, weights: ModelWeights, detector,
     linear score one class at a time, in class order.  All classes are
     scored in one stacked product per chunk of at most SCORE_CHUNK_FLOATS
     options, with the same BLAS calls, and so the same bits, as one product
-    per box and class.  Returns (scores, chosen): one float per box, and per
-    box one segment id (None = no segment) per segment-choice class.
-    A score that is not finite raises NumericalError.
+    per box and class.  Returns (scores, picks): the (n,) float64 scores,
+    and the (n, C) intp index into seg_ids chosen per box and segment-choice
+    class, -1 for no segment.  A score that is not finite raises NumericalError.
     """
     d = detector - 1
     n_classes = weights.n_classes
@@ -238,18 +240,22 @@ def score_boxes(bundle: FeatureBundle, weights: ModelWeights, detector,
         for gain in gains.T:
             part += gain
         scores[lo:lo + len(part)] = part
-        picks[lo:lo + len(part)] = pick
+        picks[lo:lo + len(part)] = pick - 1
     if not np.isfinite(scores).all():
         raise NumericalError(f"image {bundle.image_id!r}: detector {detector} scores a box "
                              f"{scores[~np.isfinite(scores)][0]}")
-    ids = np.array([NONE_SEGMENT, *bundle.seg_ids], dtype=object)
-    return scores.tolist(), ids[picks].tolist()
+    return scores, picks
+
+
+def segment_ids(bundle: FeatureBundle, picks):
+    """One box's score_boxes picks as segment ids, None for no segment."""
+    return [NONE_SEGMENT if h < 0 else bundle.seg_ids[h] for h in picks.tolist()]
 
 
 def score_box(bundle: FeatureBundle, weights: ModelWeights, detector, box_index):
-    """score_boxes for one box: (score, chosen_segments)."""
-    scores, chosen = score_boxes(bundle, weights, detector, [box_index])
-    return scores[0], chosen[0]
+    """score_boxes for one box: (score, chosen segment ids)."""
+    scores, picks = score_boxes(bundle, weights, detector, [box_index])
+    return scores.item(0), segment_ids(bundle, picks[0])
 
 
 @dataclass
@@ -295,12 +301,12 @@ def detect_image(bundle: FeatureBundle, weights: ModelWeights, nms_iou, top_k):
     overlap = overlap_matrix(bundle.boxes, nms_iou)
     detections = []
     for detector in range(1, weights.n_classes + 1):
-        scores, chosen = score_boxes(bundle, weights, detector)
-        kept = nms(overlap, scores, bundle.box_ids)[:top_k]
-        for i in kept:
+        scores, picks = score_boxes(bundle, weights, detector)
+        scores = scores.tolist()
+        for i in nms(overlap, scores, bundle.box_ids)[:top_k]:
             detections.append(Detection(
                 bundle.image_id, detector, bundle.box_ids[i], bundle.boxes[i],
-                scores[i], chosen[i]))
+                scores[i], segment_ids(bundle, picks[i])))
     return detections
 
 

@@ -3,16 +3,18 @@
 Six features per class: a K*K in-box segment grid, segment-out fraction,
 a K*K in-box background grid, background-out fraction, box/segment tight-box
 overlap, and a logistic segment class score.  All grid counts go through the
-segment's summed-area table: one read of its (K+1)^2 cell-edge lattice gives
-the four box-sum features of a (box, segment) pair.  A caller that extracts
-many boxes passes the table it built with `masks.summed_area`; without one,
-the mask's cached `integral()` is read.  `model.segment_blocks`, the one
-`assemble_block` caller in the package, takes the background normaliser m
-from `masks.largest_segment_area` and keeps every slot but the class score.
+segment's summed-area table: one `take` at the flat indices of a box's
+`box_lattice`, its (K+1)^2 clamped cell-edge crossings, gives the four
+box-sum features of a (box, segment) pair.  `model.segment_blocks`, the one
+`assemble_block` caller in the package, builds each box's lattice once for
+all of the image's segments, which share its W x H, and each segment's table
+(`masks.summed_area`) once for all boxes; a call without them builds its
+lattice and reads the mask's cached `integral()`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,39 +57,56 @@ def grid_cells(p: Box, grid: GridSpec):
             for r in range(grid.k) for c in range(grid.k)]
 
 
+def box_lattice(p: Box, k: int, w: int, h: int):
+    """(flat, areas): what box p's pairs with the segments of a w x h image share.
+
+    flat: the row-major indices, in an (h+1) x (w+1) summed-area table, of
+    the (K+1)^2 crossings of the box's K+1 cell edges per axis, each clamped
+    to the image.  areas: the K*K clamped cell areas, row-major, then the
+    clamped box's.  Clamped edges never decrease, so a cell off the image or
+    thinner than a pixel has area 0.
+    """
+    x1, y1, x2, y2 = p.rounded()
+    xs = [0 if x < 0 else w if x > w else x for x in _edges(x1, x2, k)]
+    ys = [0 if y < 0 else h if y > h else y for y in _edges(y1, y2, k)]
+    areas = [(b - a) * (d - c) for a, b in zip(ys, ys[1:]) for c, d in zip(xs, xs[1:])]
+    return (np.array([y * (w + 1) + x for y in ys for x in xs]),
+            areas + [(ys[k] - ys[0]) * (xs[k] - xs[0])])
+
+
+@functools.cache
+def _corners(k: int) -> tuple:
+    """Each lattice area's corner positions in flat (tl, tr, bl, br), for any box."""
+    j = k + 1
+    return tuple((i, i + 1, i + j, i + j + 1) for r in range(0, k * j, j)
+                 for i in range(r, r + k)) + ((0, k, k * j, j * j - 1),)
+
+
 def _box_sums(p: Box, s: SegmentMask, grid: GridSpec, m: int,
-              table: np.ndarray | None = None) -> list[float]:
+              table: np.ndarray | None = None, lattice=None) -> list[float]:
     """[grid_in (K*K), seg_out, back_in (K*K), back_out] for one box and segment.
 
-    table: `summed_area(s)`, or None to read the mask's cached `integral()`.
-    One read of the summed-area table on the (K+1)^2 lattice of cell edges,
-    each clamped to the image; clamped edges never decrease, so a cell off the
-    image or thinner than a pixel has count and area 0.  The whole box uses
-    the outer corners.  Each feature is an exact integer over |S| (segment)
-    or max(M - |S|, 1) (background), divided as Python int / int.
+    table: `summed_area(s)`, or None to read the mask's cached `integral()`;
+    lattice: `box_lattice(p, K, W, H)` at the mask's W x H, or None to build
+    it here.  One `take` of the table at the lattice's flat indices gives
+    every count.  Each feature is an exact integer over |S| (segment) or
+    max(M - |S|, 1) (background), divided as Python int / int.
     """
     n = s.pixel_count
     if n == 0:
         raise EmptySegment(f"segment {s.segment_id} of {s.image_id} is empty")
     if m < n:
         raise DegenerateNormalizer(f"largest-segment area {m} < segment size {n}")
-    x1, y1, x2, y2 = p.rounded()
-    k, w, h = grid.k, s.width, s.height
-    xs = [0 if x < 0 else w if x > w else x for x in _edges(x1, x2, k)]
-    ys = [0 if y < 0 else h if y > h else y for y in _edges(y1, y2, k)]
-    item = (s.integral() if table is None else table).item
-    t = [[item(y, x) for x in xs] for y in ys]
     d = max(m - n, 1)
+    flat, areas = lattice or box_lattice(p, grid.k, s.width, s.height)
+    t = (s.integral() if table is None else table).take(flat).tolist()
     seg, back = [], []
-    for r in range(k):
-        top, bottom, gap = t[r], t[r + 1], ys[r + 1] - ys[r]
-        for c in range(k):
-            count = bottom[c + 1] - top[c + 1] - bottom[c] + top[c]
-            seg.append(count / n)
-            back.append((gap * (xs[c + 1] - xs[c]) - count) / d)
-    inside = t[k][k] - t[0][k] - t[k][0] + t[0][0]
-    seg.append((n - inside) / n)                    # segment pixels outside the box
-    back.append((h * w - n - (ys[k] - ys[0]) * (xs[k] - xs[0]) + inside) / d)
+    for (tl, tr, bl, br), area in zip(_corners(grid.k), areas):
+        count = t[br] - t[tr] - t[bl] + t[tl]
+        seg.append(count / n)
+        back.append((area - count) / d)
+    seg[-1] = (n - count) / n       # the last area is the box's: count what lies outside
+    back[-1] = (s.height * s.width - n - area + count) / d
     return seg + back
 
 
@@ -130,12 +149,12 @@ def segclass_feat(score: float) -> float:
 
 def assemble_block(p: Box, s: SegmentMask, class_score: float,
                    grid: GridSpec, lam: float, m: int,
-                   table: np.ndarray | None = None) -> np.ndarray:
+                   table: np.ndarray | None = None, lattice=None) -> np.ndarray:
     """Concatenate the six features for one (box, segment, class) triple.
 
     Layout: [grid_in (K*K), seg_out, back_in (K*K), back_out, overlap, segclass].
-    table: the segment's `summed_area`, passed on to `_box_sums`; None reads
-    the mask's cached `integral()`, which then stays on the mask.
+    table, lattice: passed on to `_box_sums`; a None table reads the mask's
+    cached `integral()`, which then stays on the mask.
     """
-    return np.array(_box_sums(p, s, grid, m, table)
+    return np.array(_box_sums(p, s, grid, m, table, lattice)
                     + [overlap_feat(p, s, lam), segclass_feat(class_score)])

@@ -180,8 +180,7 @@ def _score(groups, group_of, rows, weights: ModelWeights, detector):
     latent = np.empty((len(rows), weights.n_classes), dtype=np.intp)
     for g in set(group_of.tolist()):
         at = np.flatnonzero(group_of == g)
-        scores[at], chosen = score_boxes(groups[g], weights, detector, rows[at])
-        latent[at] = np.nan_to_num(np.array(chosen, dtype=float), nan=-1)
+        scores[at], latent[at] = score_boxes(groups[g], weights, detector, rows[at])
     return scores, latent
 
 

@@ -63,6 +63,19 @@ def segment_contributions(bundle, weights, detector, box_index):
     return out
 
 
+def per_box(bundle, scored):
+    """score_boxes' (scores, picks) as score_box's (score, segment ids), one per box.
+
+    The picks index bundle.seg_ids, -1 for no segment, one column per class.
+    """
+    scores, picks = scored
+    assert scores.dtype == np.float64 and scores.ndim == 1
+    assert picks.dtype == np.intp and picks.ndim == 2 and len(picks) == len(scores)
+    assert ((picks >= -1) & (picks < bundle.n_segs)).all()
+    return [(score, [None if h < 0 else bundle.seg_ids[h] for h in row])
+            for score, row in zip(scores.tolist(), picks.tolist())]
+
+
 def rect_count(table, x1, y1, x2, y2):
     """Mask pixels inside the inclusive rectangle, clipped to the image.
 

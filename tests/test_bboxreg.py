@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_bundle, random_boxes, random_masks
+from conftest import make_bundle, per_box, random_boxes, random_masks
 from segdetect import bboxreg
 from segdetect.bboxreg import (BoxRegressor, ClassRegressor, apply_targets,
                                box_change, fit_class_regressor, fit_regressor,
@@ -329,8 +329,7 @@ def test_unmoved_boxes_score_as_the_input_bundle_with_the_kept_masks(tmp_path, r
             dets, _ = iterate_boxes(bundle, reg, weights, detector,
                                     np.zeros((bundle.n_boxes, 1)), provider, 2, 0.0)
             assert [d.box for d in dets] == bundle.boxes
-            scores, chosen = score_boxes(bundle, weights, detector)
-            assert [d.score for d in dets] == scores
-            assert [d.chosen_segments for d in dets] == chosen
-            picked += sum(h is not None for row in chosen for h in row)
+            scored = per_box(bundle, score_boxes(bundle, weights, detector))
+            assert [(d.score, d.chosen_segments) for d in dets] == scored
+            picked += sum(h is not None for _, row in scored for h in row)
     assert dropped and picked

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import (group_bundle, make_bundle, random_boxes, random_masks,
+from conftest import (group_bundle, make_bundle, per_box, random_boxes, random_masks,
                       segment_contributions)
 from segdetect.boxes import Box
 from segdetect.errors import InputError
@@ -191,15 +191,18 @@ def test_score_boxes_equals_per_box_scoring_exactly(rng):
         subsets = [None, list(range(n - 1, -1, -2)),
                    [int(b) for b in rng.permutation(n)[:n // 2 + 1]]]
         for detector in range(1, weights.n_classes + 1):
-            per_box = [score_box(bundle, weights, detector, b) for b in range(n)]
-            assert per_box == [reference_score(bundle, weights, detector, b)
-                               for b in range(n)]
+            one_by_one = [score_box(bundle, weights, detector, b) for b in range(n)]
+            assert one_by_one == [reference_score(bundle, weights, detector, b)
+                                  for b in range(n)]
             for subset in subsets:
-                expected = per_box if subset is None else [per_box[b] for b in subset]
-                scores, chosen = score_boxes(bundle, weights, detector, subset)
-                assert list(zip(scores, chosen)) == expected
-    assert score_boxes(*no_boxes, 1) == ([], [])
-    assert score_boxes(zero_bundle, zero_weights, 3) == ([0.0] * 4, [[None] * 3] * 4)
+                expected = one_by_one if subset is None else [one_by_one[b] for b in subset]
+                assert per_box(bundle, score_boxes(bundle, weights, detector, subset)) \
+                    == expected
+    scores, picks = score_boxes(*no_boxes, 1)
+    assert scores.shape == (0,) and picks.shape == (0, 2) and picks.dtype == np.intp
+    scores, picks = score_boxes(zero_bundle, zero_weights, 3)
+    assert scores.tolist() == [0.0] * 4 and picks.tolist() == [[-1] * 3] * 4
+    assert per_box(zero_bundle, (scores, picks)) == [(0.0, [None] * 3)] * 4
 
 
 def test_score_boxes_across_chunks_at_20_classes_matches_reference_exactly(rng):
@@ -223,19 +226,17 @@ def test_score_boxes_across_chunks_at_20_classes_matches_reference_exactly(rng):
     subset = [int(b) for b in rng.permutation(n_boxes)[:300]]
     for detector in (1, 20):
         expected = [reference_score(bundle, weights, detector, b) for b in range(n_boxes)]
-        scores, chosen = score_boxes(bundle, weights, detector)
-        assert list(zip(scores, chosen)) == expected
-        scores, chosen = score_boxes(bundle, weights, detector, np.array(subset))
-        assert list(zip(scores, chosen)) == [expected[b] for b in subset]
-        picked = {seg for segs in chosen for seg in segs}
+        assert per_box(bundle, score_boxes(bundle, weights, detector)) == expected
+        scored = per_box(bundle, score_boxes(bundle, weights, detector, np.array(subset)))
+        assert scored == [expected[b] for b in subset]
+        picked = {seg for _, segs in scored for seg in segs}
         assert {None, 0} <= picked and 1 not in picked
 
     bundle, weights = tie_instance(rng, n_classes)
     for detector in range(1, n_classes + 1):
-        scores, chosen = score_boxes(bundle, weights, detector)
-        assert list(zip(scores, chosen)) == \
-            [reference_score(bundle, weights, detector, b) for b in range(3)]
-        assert 1 not in {seg for segs in chosen for seg in segs}
+        scored = per_box(bundle, score_boxes(bundle, weights, detector))
+        assert scored == [reference_score(bundle, weights, detector, b) for b in range(3)]
+        assert 1 not in {seg for _, segs in scored for seg in segs}
 
 
 def test_score_boxes_on_a_group_equals_per_image_scoring_exactly(rng, monkeypatch):
@@ -277,14 +278,14 @@ def test_score_boxes_on_a_group_equals_per_image_scoring_exactly(rng, monkeypatc
         for detector in range(1, n_classes + 1):
             expected = []
             for bundle in bundles:
-                for score, chosen in zip(*score_boxes(bundle, weights, detector)):
+                for score, chosen in per_box(bundle, score_boxes(bundle, weights, detector)):
                     expected.append((score, [None if h is None else bundle.seg_ids.index(h)
                                              for h in chosen]))
             for rows in (None, rng.permutation(group.n_boxes)[:group.n_boxes // 2]):
-                scores, chosen = score_boxes(group, weights, detector, rows)
+                scored = per_box(group, score_boxes(group, weights, detector, rows))
                 want = expected if rows is None else [expected[r] for r in rows]
-                assert list(zip(scores, chosen)) == want
-                picked.update((c, h) for segs in chosen for c, h in enumerate(segs))
+                assert scored == want
+                picked.update((c, h) for _, segs in scored for c, h in enumerate(segs))
     assert {(0, 0), (2, 2), (1, None)} <= picked
     assert not any(h == 1 for _, h in picked) and not any(c == 1 and h is not None
                                                           for c, h in picked)
@@ -398,6 +399,33 @@ def test_segment_blocks_without_boxes_builds_no_table(rng, monkeypatch):
     assert out.shape == (0, 3, block_length(2) - 1) and not built
 
 
+def test_segment_blocks_builds_one_lattice_per_box_and_one_block_per_pair(rng,
+                                                                          monkeypatch):
+    """The per-box lattice stays per box, and every (box, segment) pair still
+    gets its own assemble_block call, which is what the benchmark counts."""
+    from segdetect import model
+    lattices, blocks = [], []
+
+    def box_lattice(box, *args):
+        lattices.append(box)
+        return lattice_of(box, *args)
+
+    def assemble_block(*args):
+        blocks.append(args[:2])
+        return block_of(*args)
+    lattice_of, block_of = model.box_lattice, model.assemble_block
+    masks, boxes = random_masks(rng, 4, 12, 12), random_boxes(rng, 7, 12, 12)
+    expect = model.segment_blocks(boxes, masks, 3, -0.7)
+    monkeypatch.setattr(model, "box_lattice", box_lattice)
+    monkeypatch.setattr(model, "assemble_block", assemble_block)
+    out = model.segment_blocks(boxes, masks, 3, -0.7)
+    assert out.tobytes() == expect.tobytes()
+    assert lattices == boxes
+    assert len(blocks) == len(boxes) * len(masks)
+    assert {(id(box), id(mask)) for box, mask in blocks} == \
+        {(id(box), id(mask)) for box in boxes for mask in masks}
+
+
 def quadratic_nms(boxes, scores, box_ids, thresh):
     from segdetect.boxes import iou
     order = sorted(range(len(boxes)), key=lambda i: (-scores[i], box_ids[i]))
@@ -479,12 +507,13 @@ def test_detect_image_keeps_what_per_detector_nms_keeps(rng):
     weights = random_weights(rng, 20, 2, 4, 3)
     expect = []
     for detector in range(1, 21):
-        scores, chosen = score_boxes(bundle, weights, detector)
+        scored = per_box(bundle, score_boxes(bundle, weights, detector))
+        scores = [score for score, _ in scored]
         kept = nms_of(bundle.boxes, scores, bundle.box_ids, 0.3)
         assert len(kept) > 40
         if detector <= 3:      # the reference takes about 0.1 s per detector
             assert kept == quadratic_nms(bundle.boxes, scores, bundle.box_ids, 0.3)
-        expect += [(detector, bundle.box_ids[i], scores[i], chosen[i]) for i in kept[:40]]
+        expect += [(detector, bundle.box_ids[i], *scored[i]) for i in kept[:40]]
     assert [(d.class_id, d.box_id, d.score, d.chosen_segments)
             for d in detect_image(bundle, weights, 0.3, 40)] == expect
 

@@ -8,7 +8,7 @@ from segdetect.boxes import Box, iou
 from segdetect.errors import DegenerateNormalizer, EmptySegment
 from segdetect.masks import SegmentMask, summed_area, tight_box
 from segdetect.segfeat import (GridSpec, assemble_block, back_out, backgrid_in,
-                               block_length, grid_cells, overlap_feat,
+                               block_length, box_lattice, grid_cells, overlap_feat,
                                seg_out, segclass_feat, seggrid_in)
 
 
@@ -261,15 +261,19 @@ def reference_cells(box, k):
             for r in range(k) for c in range(k)]
 
 
+def clipped_area(w, h, x1, y1, x2, y2):
+    """Pixels of the inclusive rectangle inside a w x h image."""
+    x1, y1, x2, y2 = max(x1, 0), max(y1, 0), min(x2, w - 1), min(y2, h - 1)
+    return 0 if x1 > x2 or y1 > y2 else (x2 - x1 + 1) * (y2 - y1 + 1)
+
+
 def reference_block(box, mask, class_score, k, lam, m):
     """Each feature on its own: rect_count per rectangle, clipped area, int / int."""
     table, n = mask.integral(), mask.pixel_count
     denom = max(m - n, 1)
 
-    def area(x1, y1, x2, y2):
-        x1, y1 = max(x1, 0), max(y1, 0)
-        x2, y2 = min(x2, mask.width - 1), min(y2, mask.height - 1)
-        return 0 if x1 > x2 or y1 > y2 else (x2 - x1 + 1) * (y2 - y1 + 1)
+    def area(*rect):
+        return clipped_area(mask.width, mask.height, *rect)
 
     cells = reference_cells(box, k)
     whole = box.rounded()
@@ -326,8 +330,50 @@ def test_assemble_block_is_bit_identical_to_per_feature_reference():
                     assert block.tobytes() == expect.tobytes(), (box, k, m, h, w)
                     passed = assemble_block(box, mask, score, GridSpec(k), lam, m, table)
                     assert passed.tobytes() == block.tobytes(), (box, k, m, h, w)
+                    lattice = box_lattice(box, k, w, h)
+                    latticed = assemble_block(box, mask, score, GridSpec(k), lam, m,
+                                              table, lattice)
+                    assert latticed.tobytes() == block.tobytes(), (box, k, m, h, w)
+                    flat, areas = lattice
+                    cells = reference_cells(box, k)
+                    xs = [min(max(x, 0), w) for x in
+                          [x1 for x1, *_ in cells[:k]] + [cells[-1][2] + 1]]
+                    ys = [min(max(y, 0), h) for y in
+                          [c[1] for c in cells[::k]] + [cells[-1][3] + 1]]
+                    assert flat.tolist() == [y * (w + 1) + x for y in ys for x in xs]
+                    assert areas == [clipped_area(w, h, *rect)
+                                     for rect in cells + [box.rounded()]]
                     checked += 1
     assert checked > 8000
+
+
+def test_segment_blocks_reuses_each_lattice_across_masks_bit_for_bit():
+    """One image, several masks: segment_blocks, which builds each box's
+    lattice once and each mask's table once, equals assemble_block per pair
+    with neither, for K = 1 to 5 and boxes partly or wholly off the image."""
+    from segdetect.model import segment_blocks
+    rng = np.random.default_rng(7)
+    for h, w in ((13, 17), (1, 9), (8, 1), (20, 20)):
+        masks = []
+        for s in range(5):
+            arr = rng.random((h, w)) < rng.uniform(0.05, 0.8)
+            arr.flat[int(rng.integers(arr.size))] = True
+            masks.append(SegmentMask.from_array(arr, "img", s))
+        boxes = [Box(-3.2, -2.6, w + 1.7, h + 4.1),        # covers the image and more
+                 Box(w + 0.5, 0, w + 6, h - 1),            # wholly right of the image
+                 Box(-8, -6, -1.5, -0.6),                  # wholly above and left
+                 Box(-2.4, h - 1.5, 1.2, h + 3)]           # over the bottom-left corner
+        for _ in range(8):
+            x1, x2 = _sorted_pair(rng, -0.49 - w, 2 * w - 0.51)
+            y1, y2 = _sorted_pair(rng, -0.49 - h, 2 * h - 0.51)
+            boxes.append(Box(x1, y1, x2, y2))
+        m = max(mask.pixel_count for mask in masks)
+        for k in (1, 2, 3, 4, 5):
+            lam = float(rng.uniform(-1, 1))
+            blocks = segment_blocks(boxes, masks, k, lam)
+            expect = np.array([[assemble_block(box, mask, 0.0, GridSpec(k), lam, m)[:-1]
+                                for mask in masks] for box in boxes])
+            assert blocks.tobytes() == expect.tobytes(), (h, w, k)
 
 
 def test_assemble_matches_components():

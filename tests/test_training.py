@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (group_bundle, make_bundle, random_boxes, random_masks,
+from conftest import (group_bundle, make_bundle, per_box, random_boxes, random_masks,
                       segment_contributions)
 from segdetect import training
 from segdetect.boxes import Box, iou
@@ -698,9 +698,9 @@ def per_image_train(dataset, cfg, use_seg=True):
             scored = []
             for i, (bundle, lab) in enumerate(zip(bundles, labels)):
                 boxes = np.flatnonzero(lab == -1)
-                scores, chosen = score_boxes(bundle, weights, detector, boxes)
                 scored.extend((score, bundle.image_id, bundle.box_ids[b], (i, b, h))
-                              for score, b, h in zip(scores, boxes, chosen))
+                              for (score, h), b in zip(per_box(bundle, score_boxes(
+                                  bundle, weights, detector, boxes)), boxes))
             mined = [entry for *_, entry in tuple_mine(scored, cfg.neg_cache_cap)]
             X = np.array([instance_row(bundles[i], b, h, weights.seg_block_len)
                           for i, b, h in [(i, b, latent[(i, b)]) for i, b in positives]
