@@ -169,9 +169,6 @@ def iterate_boxes(bundle, regressor: BoxRegressor, weights, detector,
     seg_base = segment_blocks(boxes, bundle.segments, weights.grid_k, weights.lam)
     refined = replace(bundle, boxes=boxes, appearance=appearance, context=context,
                       seg_base=seg_base)
-    detections = []
-    for b, box in enumerate(boxes):
-        score, chosen = score_box(refined, weights, detector, b)
-        detections.append(Detection(bundle.image_id, detector, bundle.box_ids[b],
-                                    box, score, chosen))
-    return detections, stats
+    return [Detection(bundle.image_id, detector, box_id, box,
+                      *score_box(refined, weights, detector, b))
+            for b, (box_id, box) in enumerate(zip(bundle.box_ids, boxes))], stats

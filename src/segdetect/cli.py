@@ -66,10 +66,8 @@ def cmd_featdump(args):
 
 
 def _require_output_dir(path):
-    """Fail before any work unless `path` names a file in an existing directory.
-
-    Nothing is created or truncated here.
-    """
+    """Fail before any work unless `path` names a file in an existing directory;
+    create or truncate nothing."""
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
         raise InputError(f"cannot write {path}: no directory {parent}")

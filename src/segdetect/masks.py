@@ -45,12 +45,9 @@ class SegmentMask:
     @classmethod
     def from_array(cls, arr, image_id="", segment_id=0):
         arr = np.asarray(arr, dtype=bool)
-        flat = arr.ravel()
-        padded = np.concatenate(([False], flat, [False]))
-        diff = np.diff(padded.astype(np.int8))
-        starts = np.flatnonzero(diff == 1)
-        ends = np.flatnonzero(diff == -1)
-        runs = [(int(s), int(e - s)) for s, e in zip(starts, ends)]
+        steps = np.diff(np.concatenate(([0], arr.ravel(), [0])))    # +1 opens a run, -1 ends it
+        runs = [(int(s), int(e - s)) for s, e in zip(np.flatnonzero(steps == 1),
+                                                      np.flatnonzero(steps == -1))]
         return cls(image_id, segment_id, arr.shape[0], arr.shape[1], runs)
 
     def to_array(self) -> np.ndarray:

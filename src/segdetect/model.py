@@ -143,10 +143,9 @@ def segment_blocks(boxes, masks, grid_k, lam) -> np.ndarray:
 
     The one block-extraction loop: build_bundle runs it on every box, and
     iterate_boxes on every refined box.  The background normaliser m is the
-    largest segment's area.  Each box's `box_lattice` is built once and
-    serves every mask, since Dataset checks that masks have the image's
-    W x H.  Each segment's summed-area table is a local, built only when
-    there are boxes and dropped after that segment, so no mask keeps one.
+    largest segment's area.  Each box's `box_lattice` serves every mask, as
+    Dataset checks that masks have the image's W x H, and each segment's
+    summed-area table is a local, dropped after that segment.
     """
     grid = GridSpec(grid_k)
     m = largest_segment_area(masks)

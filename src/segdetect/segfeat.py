@@ -2,19 +2,15 @@
 
 Six features per class: a K*K in-box segment grid, segment-out fraction,
 a K*K in-box background grid, background-out fraction, box/segment tight-box
-overlap, and a logistic segment class score.  All grid counts go through the
-segment's summed-area table: one `take` at the flat indices of a box's
-`box_lattice`, its (K+1)^2 clamped cell-edge crossings, gives the four
-box-sum features of a (box, segment) pair.  `model.segment_blocks`, the one
-`assemble_block` caller in the package, builds each box's lattice once for
-all of the image's segments, which share its W x H, and each segment's table
-(`masks.summed_area`) once for all boxes; a call without them builds its
-lattice and reads the mask's cached `integral()`.
+overlap, and a logistic segment class score.  All grid counts come from one
+`take` of the segment's summed-area table at a box's `box_lattice`.
+`model.segment_blocks`, the one `assemble_block` caller, builds each box's
+lattice once for all of the image's segments, which share its W x H, and
+each segment's table (`masks.summed_area`) once for all of its boxes.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -58,14 +54,10 @@ def grid_cells(p: Box, grid: GridSpec):
 
 
 def box_lattice(p: Box, k: int, w: int, h: int):
-    """(flat, areas): what box p's pairs with the segments of a w x h image share.
-
-    flat: the row-major indices, in an (h+1) x (w+1) summed-area table, of
-    the (K+1)^2 crossings of the box's K+1 cell edges per axis, each clamped
-    to the image.  areas: the K*K clamped cell areas, row-major, then the
-    clamped box's.  Clamped edges never decrease, so a cell off the image or
-    thinner than a pixel has area 0.
-    """
+    """(flat, areas) of box p in a w x h image: the (h+1) x (w+1) table indices
+    of its (K+1)^2 cell-edge crossings, then its K*K cell areas and its own
+    area, all clamped to the image.  Clamped edges never decrease, so a cell
+    off the image or thinner than a pixel has area 0."""
     x1, y1, x2, y2 = p.rounded()
     xs = [0 if x < 0 else w if x > w else x for x in _edges(x1, x2, k)]
     ys = [0 if y < 0 else h if y > h else y for y in _edges(y1, y2, k)]
@@ -74,39 +66,32 @@ def box_lattice(p: Box, k: int, w: int, h: int):
             areas + [(ys[k] - ys[0]) * (xs[k] - xs[0])])
 
 
-@functools.cache
-def _corners(k: int) -> tuple:
-    """Each lattice area's corner positions in flat (tl, tr, bl, br), for any box."""
-    j = k + 1
-    return tuple((i, i + 1, i + j, i + j + 1) for r in range(0, k * j, j)
-                 for i in range(r, r + k)) + ((0, k, k * j, j * j - 1),)
-
-
 def _box_sums(p: Box, s: SegmentMask, grid: GridSpec, m: int,
               table: np.ndarray | None = None, lattice=None) -> list[float]:
     """[grid_in (K*K), seg_out, back_in (K*K), back_out] for one box and segment.
 
     table: `summed_area(s)`, or None to read the mask's cached `integral()`;
-    lattice: `box_lattice(p, K, W, H)` at the mask's W x H, or None to build
-    it here.  One `take` of the table at the lattice's flat indices gives
-    every count.  Each feature is an exact integer over |S| (segment) or
-    max(M - |S|, 1) (background), divided as Python int / int.
+    lattice: `box_lattice` at the mask's W x H, or None to build it.  Each
+    feature is an exact count, from one `take` of the table, over |S|
+    (segment) or max(M - |S|, 1) (background), divided as Python int / int.
     """
     n = s.pixel_count
     if n == 0:
         raise EmptySegment(f"segment {s.segment_id} of {s.image_id} is empty")
     if m < n:
         raise DegenerateNormalizer(f"largest-segment area {m} < segment size {n}")
-    d = max(m - n, 1)
-    flat, areas = lattice or box_lattice(p, grid.k, s.width, s.height)
+    k, d = grid.k, max(m - n, 1)
+    flat, areas = lattice or box_lattice(p, k, s.width, s.height)
     t = (s.integral() if table is None else table).take(flat).tolist()
     seg, back = [], []
-    for (tl, tr, bl, br), area in zip(_corners(grid.k), areas):
-        count = t[br] - t[tr] - t[bl] + t[tl]
+    for j, area in enumerate(areas[:-1]):
+        i = j + j // k                  # cell j's top-left crossing
+        count = t[i + k + 2] - t[i + 1] - t[i + k + 1] + t[i]
         seg.append(count / n)
         back.append((area - count) / d)
-    seg[-1] = (n - count) / n       # the last area is the box's: count what lies outside
-    back[-1] = (s.height * s.width - n - area + count) / d
+    inside = t[-1] - t[k] - t[k * (k + 1)] + t[0]
+    seg.append((n - inside) / n)                    # segment pixels outside the box
+    back.append((s.height * s.width - n - areas[-1] + inside) / d)
     return seg + back
 
 
